@@ -20,15 +20,17 @@ import numpy as np
 from . import __version__
 from .em import StudentObservations, fit
 from .evaluate import ExperimentConfig, records_to_csv, run_experiment
-from .inference import observation_set, posteriors
+from .inference import Interaction, observation_set, posteriors
 from .model import Parameters, default_parameters
-from .online import load_stream, serialize_predictions
+from .online import StreamFormatError, load_stream, serialize_predictions
 from .simulate import (
     SimConfig,
     brute_force_posteriors,
     generate_classroom,
     random_question_bank,
     random_tree,
+    sample_response,
+    sample_states,
 )
 from .tree import (
     TreeFormatError,
@@ -121,14 +123,8 @@ def cmd_fit(args) -> int:
     if not dataset:
         print("error: stream is empty", file=sys.stderr)
         return 1
-    report = fit(
-        tree,
-        dataset,
-        default_parameters(tree),
-        max_iters=args.max_iters,
-        tol=args.tol,
-        threads=args.threads,
-    )
+    report = fit(tree, dataset, default_parameters(tree),
+                 max_iters=args.max_iters, tol=args.tol)
     out = Path(args.out)
     _write(out / "params.json", report.params.to_json())
     _write(out / "fit_report.json", report.to_json())
@@ -199,9 +195,6 @@ def cmd_oracle_check(args) -> int:
         bank = random_question_bank(rng, tree, per_leaf=2)
         n_obs = int(rng.integers(0, 31))
         interactions = []
-        from .inference import Interaction
-        from .simulate import sample_response, sample_states
-
         states = sample_states(tree, params, rng)
         for _ in range(n_obs):
             q = bank[int(rng.integers(len(bank)))]
@@ -303,10 +296,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _resolve(args)
         return args.func(args)
-    except (FileNotFoundError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except TreeFormatError as exc:
+    except (OSError, json.JSONDecodeError, TreeFormatError, StreamFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -1,6 +1,6 @@
 """EM parameter estimation with closed-form updates.
 
-The E-step reduces each student's posterior table to a handful of
+The E-step sums the kernel's output over the student axis into a few
 accumulators; the M-step turns those into new parameters by simple ratios.
 Every update keeps the guessing probability capped and all probabilities
 strictly inside (0,1), which preserves the EM monotonicity guarantee.
@@ -10,17 +10,13 @@ from __future__ import annotations
 
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .inference import BeliefTable, ObservationSet, posteriors
-from .model import (
-    EPSILON_CAP,
-    Parameters,
-    clamp_probability,
-    warn_if_unordered,
-)
+import numpy as np
+
+from .inference import CELL_KEYS, ObservationSet, batch_posteriors, pack_counts
+from .model import EPSILON_CAP, Parameters, clamp_probability, ordering_satisfied
 from .tree import ConceptTree, Difficulty
 
 logger = logging.getLogger(__name__)
@@ -30,6 +26,16 @@ logger = logging.getLogger(__name__)
 class StudentObservations:
     student_id: str
     obs: ObservationSet
+
+
+def pack_dataset(
+    tree: ConceptTree, dataset: Sequence[StudentObservations] | np.ndarray
+) -> np.ndarray:
+    """Kernel counts [V, 6, S], a column per student in student-id order."""
+    if isinstance(dataset, np.ndarray):
+        return dataset
+    ordered = sorted(dataset, key=lambda s: s.student_id)
+    return pack_counts(tree, [s.obs for s in ordered])
 
 
 @dataclass
@@ -73,61 +79,39 @@ class FitReport:
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _accumulate(
-    stats: SufficientStats,
-    tree: ConceptTree,
-    student: StudentObservations,
-    belief: BeliefTable,
-) -> None:
-    stats.n_students += 1
-    stats.root_num += belief.marginal[tree.root]
-    for node in tree.nodes:
-        if node == tree.root:
-            continue
-        pair = belief.pairwise[node]
-        stats.gamma_num[node] = stats.gamma_num.get(node, 0.0) + pair[(1, 0)]
-        stats.gamma_den_extra[node] = (
-            stats.gamma_den_extra.get(node, 0.0) + pair[(0, 0)]
-        )
-    for node, node_counts in student.obs.counts.items():
-        p1 = belief.marginal[node]
-        p0 = 1.0 - p1
-        for (difficulty, correct), n in node_counts.items():
-            if correct == 1:
-                stats.eps_pos += n * p0
-                stats.r_pos[difficulty] += n * p1
-            else:
-                stats.eps_neg += n * p0
-                stats.r_neg[difficulty] += n * p1
-
-
 def e_step(
     tree: ConceptTree,
     params: Parameters,
-    dataset: Sequence[StudentObservations],
+    dataset: Sequence[StudentObservations] | np.ndarray,
     threads: int = 1,
 ) -> tuple[SufficientStats, float]:
     """Accumulate sufficient statistics; also returns the total data
     log-likelihood at the current parameters (a free by-product).
 
-    Accumulation runs in student-id order regardless of thread count, so
-    serial and parallel execution produce identical results.
+    The dataset may come packed (see pack_dataset). Accumulators are sums
+    over the student axis in student-id order, so the order of the dataset
+    does not matter. threads is accepted and has no effect.
     """
-    ordered = sorted(dataset, key=lambda s: s.student_id)
-    if threads > 1 and len(ordered) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            beliefs = list(
-                pool.map(lambda s: posteriors(tree, params, s.obs), ordered)
-            )
-    else:
-        beliefs = [posteriors(tree, params, s.obs) for s in ordered]
-
-    stats = SufficientStats()
-    total_ll = 0.0
-    for student, belief in zip(ordered, beliefs):
-        _accumulate(stats, tree, student, belief)
-        total_ll += belief.log_likelihood
-    return stats, total_ll
+    counts = pack_dataset(tree, dataset)
+    post = batch_posteriors(tree, params, counts)
+    unmastered = (counts * post.cells[0][:, None, :]).sum(axis=(0, 2))
+    mastered = (counts * post.marginal[:, None, :]).sum(axis=(0, 2))
+    pair = post.cells.sum(axis=2)
+    non_root = post.plan.order[1:]
+    stats = SufficientStats(
+        gamma_num=dict(zip(non_root, pair[1, 1:].tolist())),
+        gamma_den_extra=dict(zip(non_root, pair[0, 1:].tolist())),
+        root_num=float(post.marginal[0].sum()),
+        n_students=counts.shape[2],
+    )
+    for k, (difficulty, correct) in enumerate(CELL_KEYS):
+        if correct == 1:
+            stats.eps_pos += float(unmastered[k])
+            stats.r_pos[difficulty] += float(mastered[k])
+        else:
+            stats.eps_neg += float(unmastered[k])
+            stats.r_neg[difficulty] += float(mastered[k])
+    return stats, float(post.log_likelihood.sum())
 
 
 def m_step(stats: SufficientStats, prev: Parameters) -> Parameters:
@@ -165,32 +149,33 @@ def m_step(stats: SufficientStats, prev: Parameters) -> Parameters:
     r_hard = ratio(stats.r_pos[Difficulty.HARD], stats.r_neg[Difficulty.HARD],
                    prev.r_hard)
 
-    params = Parameters(
+    return Parameters(
         gamma=gamma, r_easy=r_easy, r_med=r_med, r_hard=r_hard, epsilon=epsilon
     )
-    warn_if_unordered(params, context="after M-step")
-    return params
 
 
 def fit(
     tree: ConceptTree,
-    dataset: Sequence[StudentObservations],
+    dataset: Sequence[StudentObservations] | np.ndarray,
     init: Parameters,
     max_iters: int = 100,
     tol: float = 1e-6,
-    threads: int = 1,
 ) -> FitReport:
     """Alternate E and M steps until the log-likelihood improvement drops
-    below tol or max_iters iterations have been applied."""
-    if not dataset:
+    below tol or max_iters iterations have been applied. Logs one warning
+    summarizing the M-steps that broke the emission ordering, and one if
+    max_iters was reached without converging."""
+    counts = pack_dataset(tree, dataset)
+    if counts.shape[2] == 0:
         raise ValueError("fit requires a non-empty dataset")
     params = init
     trace: list[float] = []
     prev_ll: float | None = None
     converged = False
     iterations = 0
+    unordered: list[int] = []
     for _ in range(max_iters):
-        stats, ll = e_step(tree, params, dataset, threads=threads)
+        stats, ll = e_step(tree, params, counts)
         trace.append(ll)
         if prev_ll is not None and abs(ll - prev_ll) < tol:
             converged = True
@@ -198,6 +183,16 @@ def fit(
         params = m_step(stats, params)
         iterations += 1
         prev_ll = ll
+        if not ordering_satisfied(params):
+            unordered.append(iterations)
+    if unordered:
+        logger.warning(
+            "emission ordering epsilon < r_hard < r_med < r_easy violated after "
+            "%d of %d M-steps, first after M-step %d; final epsilon=%.6g "
+            "r_hard=%.6g r_med=%.6g r_easy=%.6g", len(unordered), iterations,
+            unordered[0], params.epsilon, params.r_hard, params.r_med, params.r_easy)
+    if not converged:
+        logger.warning("EM did not converge within max_iters=%d (tol=%g)", max_iters, tol)
     return FitReport(
         params=params,
         log_likelihood_trace=trace,
@@ -209,11 +204,9 @@ def fit(
 def one_step_update(
     tree: ConceptTree,
     params: Parameters,
-    dataset: Sequence[StudentObservations],
-    threads: int = 1,
+    dataset: Sequence[StudentObservations] | np.ndarray,
 ) -> Parameters:
-    """Exactly one EM iteration; never decreases the dataset likelihood."""
-    if not dataset:
-        raise ValueError("one_step_update requires a non-empty dataset")
-    stats, _ = e_step(tree, params, dataset, threads=threads)
+    """Exactly one EM iteration; never decreases the dataset likelihood.
+    An empty dataset is rejected by m_step."""
+    stats, _ = e_step(tree, params, dataset)
     return m_step(stats, params)

@@ -1,25 +1,35 @@
-"""Exact posterior inference for a single student.
+"""Exact posterior inference: one array kernel over a batch of students.
 
-Messages are computed in log space with log-sum-exp so that long response
-histories do not underflow. Per-node emission terms are accumulated from
-(difficulty, correctness) counts, which makes every posterior independent
-of the order interactions arrive in, bit for bit.
+The kernel takes response counts packed as [V, 6, S] (nodes in breadth-first
+order x CELL_KEYS x students) and runs the upward-downward recursion of the
+hidden Markov tree on every student at once, one tree level at a time. A
+single student is a batch of one. Counts make every posterior independent
+of the order responses arrived in, bit for bit.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
-from .model import Parameters, emission_prob
+import numpy as np
+
+from .model import Parameters
 from .tree import ConceptTree, Difficulty, QuestionMeta
 
-NEG_INF = float("-inf")
+#: The (difficulty, correct) cell of each slot on axis 1 of packed counts.
+CELL_KEYS = tuple((d, c) for d in Difficulty for c in (0, 1))
+_CELL_INDEX = {key: k for k, key in enumerate(CELL_KEYS)}
 
 
 class InferenceError(ValueError):
-    """Raised for observations outside the tree or degenerate messages."""
+    """Raised for observations outside the tree."""
+
+
+class ParameterError(ValueError):
+    """A parameter is missing for a node or lies outside (0, 1)."""
 
 
 @dataclass(frozen=True)
@@ -37,11 +47,10 @@ class ObservationSet:
     """A student's response history, grouped by concept.
 
     counts maps node id -> {(difficulty, correct): multiplicity}; it is the
-    canonical order-free form used by the message passing.
+    canonical order-free form the kernel packs.
     """
 
     interactions: tuple[Interaction, ...]
-    by_kc: dict[str, tuple[Interaction, ...]]
     counts: dict[str, dict[tuple[Difficulty, int], int]]
 
     def __len__(self) -> int:
@@ -52,7 +61,6 @@ def observation_set(
     tree: ConceptTree, interactions: Iterable[Interaction]
 ) -> ObservationSet:
     interactions = tuple(interactions)
-    by_kc: dict[str, list[Interaction]] = {}
     counts: dict[str, dict[tuple[Difficulty, int], int]] = {}
     for it in interactions:
         if it.kc not in tree:
@@ -61,39 +69,156 @@ def observation_set(
             raise InferenceError(f"observation KC {it.kc!r} is not a leaf")
         if it.correct not in (0, 1):
             raise InferenceError(f"correct must be 0 or 1, got {it.correct!r}")
-        by_kc.setdefault(it.kc, []).append(it)
         node_counts = counts.setdefault(it.kc, {})
         key = (it.difficulty, it.correct)
         node_counts[key] = node_counts.get(key, 0) + 1
-    return ObservationSet(
-        interactions=interactions,
-        by_kc={k: tuple(v) for k, v in by_kc.items()},
-        counts=counts,
-    )
+    return ObservationSet(interactions=interactions, counts=counts)
 
 
-@dataclass
-class BeliefTable:
-    """Per-node messages and posteriors for one student's history.
+class KernelPlan:
+    """Breadth-first numbering of a tree, so each level is a contiguous slice.
+    levels: root first, (slice, parent level's slice, parent indices, dense
+    0/1 incidence [parent level, level]); the root level has only its slice."""
 
-    log_beta[c][k]: likelihood of the observations in c's subtree given state k.
-    log_beta_tilde[c][k]: the same, conditioned on c's *parent* being in state k.
-    log_alpha[c][k]: joint of state k with all observations outside c's subtree.
+    def __init__(self, tree: ConceptTree):
+        order, bounds = [tree.root], [(0, 1)]
+        while True:
+            a, b = bounds[-1]
+            order.extend(c for node in order[a:b] for c in tree.children(node))
+            if len(order) == b:
+                break
+            bounds.append((b, len(order)))
+        self.order = tuple(order)
+        self.index = {node: v for v, node in enumerate(order)}
+        parents = [self.index[tree.parent(node)] for node in order[1:]]
+        self.parent = np.array([0] + parents, dtype=np.intp)
+        self.levels = [(slice(0, 1), None, None, None)]
+        for (a, b), (pa, pb) in zip(bounds[1:], bounds):
+            incidence = np.zeros((pb - pa, b - a))
+            incidence[self.parent[a:b] - pa, np.arange(b - a)] = 1.0
+            self.levels.append((slice(a, b), slice(pa, pb), self.parent[a:b], incidence))
+
+
+def kernel_plan(tree: ConceptTree) -> KernelPlan:
+    """The tree's plan, built on first use and kept with the (immutable) tree."""
+    if "_kernel_plan" not in tree.__dict__:
+        tree.__dict__["_kernel_plan"] = KernelPlan(tree)
+    return tree.__dict__["_kernel_plan"]
+
+
+def pack_counts(
+    tree: ConceptTree, observation_sets: Sequence[ObservationSet]
+) -> np.ndarray:
+    """Response counts of each student, one column each, as [V, 6, S]."""
+    index = kernel_plan(tree).index
+    counts = np.zeros((len(index), len(CELL_KEYS), len(observation_sets)))
+    for s, obs in enumerate(observation_sets):
+        for node, node_counts in obs.counts.items():
+            for key, n in node_counts.items():
+                counts[index[node], _CELL_INDEX[key], s] = n
+    return counts
+
+
+def _log_params(plan: KernelPlan, params: Parameters):
+    """log gamma, log(1 - gamma) as [V, 1], and per-cell log-emissions at
+    mastery and unmastered minus mastered; probabilities are checked first."""
+    try:
+        gamma = np.array([params.gamma[node] for node in plan.order], dtype=float)
+    except KeyError as exc:
+        raise ParameterError(f"gamma has no value for node {exc.args[0]!r}") from None
+    probs = np.append(gamma, [params.r_easy, params.r_med, params.r_hard, params.epsilon])
+    bad = np.flatnonzero(~((probs > 0.0) & (probs < 1.0)))
+    if bad.size:
+        names = [f"gamma of node {node!r}" for node in plan.order]
+        names += ["r_easy", "r_med", "r_hard", "epsilon"]
+        raise ParameterError(f"{names[bad[0]]} is {probs[bad[0]]!r}, outside (0, 1)")
+    eps = params.epsilon
+    log_e1 = np.log([params.phi(d) if c else 1.0 - params.phi(d) for d, c in CELL_KEYS])
+    log_e0 = np.log([eps if c else 1.0 - eps for _, c in CELL_KEYS])
+    return np.log(gamma)[:, None], np.log1p(-gamma)[:, None], log_e1, log_e0 - log_e1
+
+
+@dataclass(frozen=True, eq=False)
+class BatchPosteriors:
+    """Kernel output, node axis in plan order. cells holds the (child,
+    parent) cells (0, 0), (1, 0), (1, 1); (0, 1) is zero, as a mastered
+    parent entails the child. The root's parent counts as unmastered."""
+
+    plan: KernelPlan
+    marginal: np.ndarray  # [V, S]
+    cells: np.ndarray  # [3, V, S]
+    log_likelihood: np.ndarray  # [S]
+
+
+def batch_posteriors(
+    tree: ConceptTree, params: Parameters, counts: np.ndarray
+) -> BatchPosteriors:
+    """The kernel: posteriors of every student in packed counts [V, 6, S].
+
+    A mastered node forces its subtree, so its upward message lb1 is a sum
+    of log-emissions and only the message bt0 to an unmastered parent needs
+    a log-sum-exp; both are kept relative to lb1. The downward pass runs on
+    conditional probabilities (Durand, Goncalves & Guedon, IEEE TSP 2004).
     """
+    plan = kernel_plan(tree)
+    log_gamma, log1m_gamma, log_e1, log_ratio = _log_params(plan, params)
+    # shifted = lb0 - lb1 + log(1 - gamma) and up = bt0 - lb1, per node.
+    shifted = log_ratio @ counts + log1m_gamma
+    up = np.empty_like(shifted)
+    for here, above, _, incidence in reversed(plan.levels):
+        # Every child of this level has already added its message.
+        level_up = up[here]
+        np.logaddexp(log_gamma[here], shifted[here], out=level_up)
+        if incidence is not None:
+            parents = shifted[above]
+            np.add(parents, incidence.dot(level_up), out=parents)
+    # lb1 of the root is every response's log-emission at mastery.
+    log_likelihood = log_e1 @ counts.sum(axis=0) + up[0]
 
-    log_beta: dict[str, tuple[float, float]]
-    log_beta_tilde: dict[str, tuple[float, float]]
-    log_alpha: dict[str, tuple[float, float]] = field(default_factory=dict)
-    log_alpha_tilde: dict[str, tuple[float, float]] = field(default_factory=dict)
-    marginal: dict[str, float] = field(default_factory=dict)
-    pairwise: dict[str, dict[tuple[int, int], float]] = field(default_factory=dict)
-    log_likelihood: float = 0.0
+    # log P(v unmastered) sums log P(u unmastered | parent unmastered, data)
+    # = shifted - up over v and its ancestors; each is <= 0 exactly.
+    log_p0 = shifted - up
+    for here, _, parent_index, _ in plan.levels[1:]:
+        level = log_p0[here]
+        np.add(level, log_p0.take(parent_index, axis=0), out=level)
+    parent_log_p0 = log_p0.take(plan.parent, axis=0)
+    parent_log_p0[0] = 0.0
+    cells = np.stack([np.exp(log_p0), np.exp(parent_log_p0 + log_gamma - up),
+                      -np.expm1(parent_log_p0)])
+    return BatchPosteriors(plan, -np.expm1(log_p0), cells, log_likelihood)
+
+
+@dataclass(frozen=True, eq=False)
+class BeliefTable:
+    """One student's posteriors by node id: a read-only view of one column
+    of a kernel result."""
+
+    result: BatchPosteriors
+    column: int = 0
+
+    @property
+    def log_likelihood(self) -> float:
+        return float(self.result.log_likelihood[self.column])
 
     def posterior_mastery(self, node_id: str) -> float:
-        try:
-            return self.marginal[node_id]
-        except KeyError:
-            raise InferenceError(f"unknown KC: {node_id!r}") from None
+        if node_id not in self.result.plan.index:
+            raise InferenceError(f"unknown KC: {node_id!r}")
+        return float(self.result.marginal[self.result.plan.index[node_id], self.column])
+
+    @cached_property
+    def marginal(self) -> Mapping[str, float]:
+        values = self.result.marginal[:, self.column].tolist()
+        return MappingProxyType(dict(zip(self.result.plan.order, values)))
+
+    @cached_property
+    def pairwise(self) -> Mapping[str, Mapping[tuple[int, int], float]]:
+        """(child state, parent state) -> posterior, for every non-root node."""
+        rows = zip(self.result.plan.order, *self.result.cells[:, :, self.column].tolist())
+        next(rows)  # the root
+        return MappingProxyType({
+            node: MappingProxyType({(0, 0): p00, (1, 0): p10, (0, 1): 0.0, (1, 1): p11})
+            for node, p00, p10, p11 in rows
+        })
 
 
 @dataclass(frozen=True)
@@ -103,124 +228,13 @@ class Prediction:
     posterior_mastery: float
 
 
-def _lse2(a: float, b: float) -> float:
-    if a == NEG_INF:
-        return b
-    if b == NEG_INF:
-        return a
-    m = a if a > b else b
-    return m + math.log(math.exp(a - m) + math.exp(b - m))
-
-
-def _log_emissions(params: Parameters, obs: ObservationSet, node: str):
-    """Log emission product for the node's responses at each mastery state."""
-    le0 = 0.0
-    le1 = 0.0
-    # Sorted so the sum is identical under any interaction arrival order.
-    for (difficulty, correct), n in sorted(obs.counts.get(node, {}).items()):
-        le0 += n * math.log(emission_prob(params, difficulty, correct, 0))
-        le1 += n * math.log(emission_prob(params, difficulty, correct, 1))
-    return le0, le1
-
-
-def upward_pass(
-    tree: ConceptTree, params: Parameters, obs: ObservationSet
-) -> BeliefTable:
-    """Leaves-to-root recursion filling log_beta and log_beta_tilde."""
-    log_beta: dict[str, tuple[float, float]] = {}
-    log_beta_tilde: dict[str, tuple[float, float]] = {}
-
-    for node in tree.upward_order():
-        lb0, lb1 = _log_emissions(params, obs, node)
-        for child in tree.children(node):
-            bt0, bt1 = log_beta_tilde[child]
-            lb0 += bt0
-            lb1 += bt1
-        log_beta[node] = (lb0, lb1)
-
-        if node != tree.root:
-            # Marginalize the node's own state against the parent-conditioned
-            # transition row: parent mastered forces the node mastered.
-            gamma = params.gamma_of(node)
-            bt_parent0 = _lse2(lb1 + math.log(gamma), lb0 + math.log1p(-gamma))
-            bt_parent1 = lb1
-            if bt_parent0 == NEG_INF or bt_parent1 == NEG_INF:
-                raise InferenceError(
-                    f"zero upward message at {node!r}; parameters degenerate"
-                )
-            log_beta_tilde[node] = (bt_parent0, bt_parent1)
-
-    return BeliefTable(log_beta=log_beta, log_beta_tilde=log_beta_tilde)
-
-
-def downward_pass(
-    tree: ConceptTree,
-    params: Parameters,
-    obs: ObservationSet,
-    belief: BeliefTable,
-) -> BeliefTable:
-    """Root-to-leaves recursion filling log_alpha (and the per-edge
-    parent-excluding-this-subtree message log_alpha_tilde)."""
-    root_gamma = params.gamma_of(tree.root)
-    belief.log_alpha[tree.root] = (math.log1p(-root_gamma), math.log(root_gamma))
-
-    for node in tree.downward_order():
-        if node == tree.root:
-            continue
-        parent = tree.parent(node)
-        a0, a1 = belief.log_alpha[parent]
-        b0, b1 = belief.log_beta[parent]
-        bt0, bt1 = belief.log_beta_tilde[node]
-        at0 = a0 + b0 - bt0
-        at1 = a1 + b1 - bt1
-        belief.log_alpha_tilde[node] = (at0, at1)
-        gamma = params.gamma_of(node)
-        la1 = _lse2(at0 + math.log(gamma), at1)
-        la0 = at0 + math.log1p(-gamma)
-        belief.log_alpha[node] = (la0, la1)
-
-    return belief
-
-
 def posteriors(
-    tree: ConceptTree, params: Parameters, obs: ObservationSet
+    tree: ConceptTree, params: Parameters, obs: ObservationSet | np.ndarray
 ) -> BeliefTable:
-    """Full table: marginals, pairwise posteriors, and data log-likelihood."""
-    belief = upward_pass(tree, params, obs)
-    downward_pass(tree, params, obs, belief)
-
-    b0, b1 = belief.log_beta[tree.root]
-    a0, a1 = belief.log_alpha[tree.root]
-    belief.log_likelihood = _lse2(a0 + b0, a1 + b1)
-
-    for node in tree.nodes:
-        a0, a1 = belief.log_alpha[node]
-        b0, b1 = belief.log_beta[node]
-        j0 = a0 + b0
-        j1 = a1 + b1
-        total = _lse2(j0, j1)
-        belief.marginal[node] = math.exp(j1 - total)
-
-        if node != tree.root:
-            at0, at1 = belief.log_alpha_tilde[node]
-            gamma = params.gamma_of(node)
-            lb0, lb1 = belief.log_beta[node]
-            # (child state, parent state) -> unnormalized log posterior.
-            cells = {
-                (0, 0): at0 + lb0 + math.log1p(-gamma),
-                (1, 0): at0 + lb1 + math.log(gamma),
-                (0, 1): NEG_INF,  # mastered parent entails the child
-                (1, 1): at1 + lb1,
-            }
-            norm = NEG_INF
-            for v in cells.values():
-                norm = _lse2(norm, v)
-            belief.pairwise[node] = {
-                k: (math.exp(v - norm) if v != NEG_INF else 0.0)
-                for k, v in cells.items()
-            }
-
-    return belief
+    """Full table for one student (an ObservationSet, or one packed column
+    [V, 6, 1]): marginals, pairwise posteriors, and data log-likelihood."""
+    counts = obs if isinstance(obs, np.ndarray) else pack_counts(tree, [obs])
+    return BeliefTable(batch_posteriors(tree, params, counts))
 
 
 def predict(
@@ -241,10 +255,7 @@ def log_likelihood(
     tree: ConceptTree, params: Parameters, obs: ObservationSet
 ) -> float:
     """Log-probability of the observed responses under the model."""
-    belief = upward_pass(tree, params, obs)
-    root_gamma = params.gamma_of(tree.root)
-    b0, b1 = belief.log_beta[tree.root]
-    return _lse2(b0 + math.log1p(-root_gamma), b1 + math.log(root_gamma))
+    return posteriors(tree, params, obs).log_likelihood
 
 
 def mastery_dump(tree: ConceptTree, belief: BeliefTable) -> list[dict]:

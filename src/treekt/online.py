@@ -11,15 +11,18 @@ post-burn-in data.
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .em import FitReport, StudentObservations, fit, one_step_update
+import numpy as np
+
+from .em import FitReport, StudentObservations, fit, one_step_update, pack_dataset
 from .inference import (
     Interaction,
     Prediction,
     observation_set,
+    pack_counts,
     posteriors,
     predict,
 )
@@ -57,7 +60,7 @@ class StudentModel:
     params: Parameters
     history: list[Interaction] = field(default_factory=list)
     pending: int = 0
-    lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+    packed: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -74,9 +77,6 @@ class ClassroomSession:
     theta_init: Parameters
     fit_report: FitReport | None = None
     students: dict[str, StudentModel] = field(default_factory=dict)
-    em_max_iters: int = 100
-    em_tol: float = 1e-6
-    threads: int = 1
     update_batch: int | None = 1
 
     def student_history(self, student_id: str) -> list[Interaction]:
@@ -87,22 +87,32 @@ class ClassroomSession:
             history.extend(model.history)
         return history
 
-    def _update_dataset(self, student_id: str) -> list[StudentObservations]:
-        """Burn-in from everyone, full history for the target student."""
-        dataset = []
-        for sid, interactions in self.burn_in.items():
-            if sid == student_id:
-                continue
-            dataset.append(
-                StudentObservations(sid, observation_set(self.tree, interactions))
-            )
-        dataset.append(
-            StudentObservations(
-                student_id,
-                observation_set(self.tree, self.student_history(student_id)),
-            )
-        )
-        return dataset
+    def _history_counts(self, student_id: str) -> np.ndarray:
+        """The conditioning set as one kernel column, kept until it grows."""
+        model = self.students.get(student_id)
+        if model is not None and model.packed is not None:
+            return model.packed
+        obs = observation_set(self.tree, self.student_history(student_id))
+        counts = pack_counts(self.tree, [obs])
+        if model is not None:
+            model.packed = counts
+        return counts
+
+    def _update_counts(self, student_id: str) -> np.ndarray:
+        """The burn-in pool's columns, minus the target student's, plus the
+        target's full history, in student-id order."""
+        j = sum(sid < student_id for sid in self.burn_in)
+        rest = j + (student_id in self.burn_in)
+        pool, column = self.pool_counts, self._history_counts(student_id)
+        return np.concatenate([pool[:, :, :j], column, pool[:, :, rest:]], axis=2)
+
+    @cached_property
+    def pool_counts(self) -> np.ndarray:
+        """The burn-in pool as kernel counts in student-id order, packed once."""
+        return pack_dataset(self.tree, [
+            StudentObservations(sid, observation_set(self.tree, interactions))
+            for sid, interactions in self.burn_in.items()
+        ])
 
 
 def burn_in_fit(
@@ -114,26 +124,20 @@ def burn_in_fit(
     threads: int = 1,
     update_batch: int | None = 1,
 ) -> ClassroomSession:
-    """Fit the shared model on pooled early interactions, to convergence."""
+    """Fit the shared model on pooled early interactions, to convergence.
+    threads is accepted and has no effect."""
     if not burn_in or not any(burn_in.values()):
         raise ValueError("burn-in data must be non-empty")
-    if init is None:
-        init = default_parameters(tree)
-    dataset = [
-        StudentObservations(sid, observation_set(tree, interactions))
-        for sid, interactions in burn_in.items()
-    ]
-    report = fit(tree, dataset, init, max_iters=max_iters, tol=tol, threads=threads)
-    return ClassroomSession(
+    session = ClassroomSession(
         tree=tree,
         burn_in={sid: list(v) for sid, v in burn_in.items()},
-        theta_init=report.params,
-        fit_report=report,
-        em_max_iters=max_iters,
-        em_tol=tol,
-        threads=threads,
+        theta_init=default_parameters(tree) if init is None else init,
         update_batch=update_batch,
     )
+    session.fit_report = fit(tree, session.pool_counts, session.theta_init,
+                             max_iters=max_iters, tol=tol)
+    session.theta_init = session.fit_report.params
+    return session
 
 
 def observe(
@@ -145,19 +149,16 @@ def observe(
     if model is None:
         model = StudentModel(student_id=student_id, params=session.theta_init)
         session.students[student_id] = model
-    with model.lock:
-        model.history.append(interaction)
-        if session.update_batch is None:
-            return session
-        model.pending += 1
-        if model.pending >= session.update_batch:
-            model.params = one_step_update(
-                session.tree,
-                model.params,
-                session._update_dataset(student_id),
-                threads=session.threads,
-            )
-            model.pending = 0
+    model.history.append(interaction)
+    model.packed = None
+    if session.update_batch is None:
+        return session
+    model.pending += 1
+    if model.pending >= session.update_batch:
+        model.params = one_step_update(
+            session.tree, model.params, session._update_counts(student_id)
+        )
+        model.pending = 0
     return session
 
 
@@ -169,8 +170,7 @@ def predict_next(
     and an empty personal history."""
     model = session.students.get(student_id)
     params = model.params if model is not None else session.theta_init
-    obs = observation_set(session.tree, session.student_history(student_id))
-    belief = posteriors(session.tree, params, obs)
+    belief = posteriors(session.tree, params, session._history_counts(student_id))
     return predict(params, belief, question)
 
 
@@ -195,26 +195,30 @@ def replay(
     return records
 
 
-def parse_stream(document: str) -> list[StreamRecord]:
+class StreamFormatError(ValueError):
+    """A stream line cannot be read; the message names the file and line."""
+
+
+def parse_stream(document: str, source: str = "<stream>") -> list[StreamRecord]:
+    """Parse JSON-lines stream records; source names the document in errors."""
     records = []
-    for i, line in enumerate(document.splitlines()):
-        line = line.strip()
-        if not line:
+    for i, line in enumerate(document.splitlines(), start=1):
+        if not line.strip():
             continue
         try:
             raw = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"bad stream record on line {i + 1}: {exc}") from exc
-        records.append(
-            StreamRecord(
+            records.append(StreamRecord(
                 student_id=str(raw["student_id"]),
                 question_id=str(raw["question_id"]),
                 kc=str(raw["kc_id"]),
                 difficulty=Difficulty(str(raw["difficulty"])),
                 correct=int(raw["correct"]),
                 seq=int(raw["seq"]),
-            )
-        )
+            ))
+        except (KeyError, ValueError, TypeError) as exc:
+            detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+            raise StreamFormatError(
+                f"{source}:{i}: bad stream record on line {i}: {detail}") from exc
     return records
 
 
@@ -238,7 +242,7 @@ def serialize_stream(records: Iterable[StreamRecord]) -> str:
 
 def load_stream(path: str) -> list[StreamRecord]:
     with open(path, encoding="utf-8") as fh:
-        return parse_stream(fh.read())
+        return parse_stream(fh.read(), source=path)
 
 
 def serialize_predictions(records: Iterable[PredictionRecord]) -> str:

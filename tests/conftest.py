@@ -40,6 +40,15 @@ def star_tree(n_leaves: int) -> ConceptTree:
     return build_tree(entries)
 
 
+def caterpillar_tree(spine: int) -> ConceptTree:
+    """A path of spine nodes with one leaf under each: depth spine + 1."""
+    entries = []
+    for i in range(spine):
+        entries.append((f"c{i}", f"c{i}", f"c{i-1}" if i else None))
+        entries.append((f"l{i}", f"l{i}", f"c{i}"))
+    return build_tree(entries)
+
+
 def single_node_tree() -> ConceptTree:
     return build_tree([("only", "only", None)])
 
@@ -61,6 +70,11 @@ def random_instance(rng: np.random.Generator, max_nodes=12, max_obs=30):
     n_nodes = int(rng.integers(2, max_nodes + 1))
     tree = random_tree(rng, n_nodes)
     params = random_parameters(tree, rng)
+    return tree, params, random_observations(tree, rng, max_obs)
+
+
+def random_observations(tree: ConceptTree, rng: np.random.Generator, max_obs=30):
+    """Up to max_obs random responses on random leaves."""
     leaves = tree.leaves()
     difficulties = list(Difficulty)
     interactions = []
@@ -70,4 +84,4 @@ def random_instance(rng: np.random.Generator, max_nodes=12, max_obs=30):
         interactions.append(
             Interaction(f"q{i}", leaf, d, int(rng.integers(2)))
         )
-    return tree, params, observation_set(tree, interactions)
+    return observation_set(tree, interactions)

@@ -125,6 +125,29 @@ class TestFitAndEval:
         assert (out / "predictions.csv").exists()
         assert "AUC" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["fit", "eval"])
+    @pytest.mark.parametrize("difficulty", [None, "weird"])
+    def test_bad_stream_record_exits_two(self, tmp_path, capsys, command,
+                                         difficulty):
+        sim = simulate_into(tmp_path)
+        lines = (sim / "stream.jsonl").read_text().splitlines()
+        record = json.loads(lines[2])
+        if difficulty is None:
+            del record["difficulty"]
+        else:
+            record["difficulty"] = difficulty
+        lines[2] = json.dumps(record)
+        stream = tmp_path / "bad.jsonl"
+        stream.write_text("\n".join(lines) + "\n")
+        code = main([
+            command, "--tree", str(sim / "tree.json"), "--stream", str(stream),
+            "--out", str(tmp_path / "out"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{stream}:3:" in err
+        assert "Traceback" not in err
+
     def test_eval_deterministic_across_thread_counts(self, tmp_path):
         sim = simulate_into(tmp_path)
         outputs = []

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -202,6 +204,28 @@ class TestFit:
         stepped = one_step_update(tree, init, dataset)
         stepped = one_step_update(tree, stepped, dataset)
         assert report.params == stepped
+
+    def test_logs_one_summary_per_fit(self, caplog):
+        # Mastered students who always miss hard questions drive r_hard
+        # below epsilon after every M-step; with tol=0 the fit also runs out
+        # of iterations. Each condition gets one line, not one per step.
+        tree = star_tree(3)
+        interactions = [
+            Interaction(f"q{i}", tree.leaves()[i % 3], d, int(d is not Difficulty.HARD))
+            for i, d in enumerate(list(Difficulty) * 10)
+        ]
+        dataset = [
+            StudentObservations(f"s{j}", observation_set(tree, interactions))
+            for j in range(4)
+        ]
+        with caplog.at_level(logging.WARNING, logger="treekt"):
+            report = fit(tree, dataset, default_parameters(tree),
+                         max_iters=6, tol=0.0)
+        messages = [r.getMessage() for r in caplog.records]
+        assert not report.converged
+        assert len(messages) == 2
+        assert "after 6 of 6 M-steps, first after M-step 1" in messages[0]
+        assert "did not converge" in messages[1]
 
     def test_report_serializes(self):
         rng = np.random.default_rng(6)

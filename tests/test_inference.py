@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treekt import (
     Difficulty,
@@ -13,12 +14,22 @@ from treekt import (
     posteriors,
     predict,
 )
-from treekt.inference import InferenceError, mastery_dump
+from treekt.inference import (
+    BeliefTable,
+    InferenceError,
+    ParameterError,
+    batch_posteriors,
+    mastery_dump,
+    pack_counts,
+)
+from treekt.simulate import random_tree
 from treekt.tree import QuestionMeta
 
 from conftest import (
+    caterpillar_tree,
     chain_tree,
     random_instance,
+    random_observations,
     random_parameters,
     single_node_tree,
     star_tree,
@@ -140,6 +151,90 @@ class TestOracleAgreement:
             assert log_likelihood(tree, params, obs) == pytest.approx(
                 posteriors(tree, params, obs).log_likelihood, abs=1e-12
             )
+
+
+def shaped_tree(shape, n_nodes, rng):
+    if shape == "chain":
+        return chain_tree(n_nodes)
+    if shape == "star":
+        return star_tree(n_nodes - 1)
+    if shape == "caterpillar":
+        return caterpillar_tree(max(1, n_nodes // 2))
+    return random_tree(rng, n_nodes)
+
+
+class TestBatchKernel:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shape=st.sampled_from(["random", "chain", "star", "caterpillar"]),
+        n_nodes=st.integers(2, 10),
+        n_students=st.integers(2, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_every_column_matches_enumeration(self, shape, n_nodes, n_students, seed):
+        rng = np.random.default_rng(seed)
+        tree = shaped_tree(shape, n_nodes, rng)
+        params = random_parameters(tree, rng)
+        sets = [random_observations(tree, rng) for _ in range(n_students)]
+        result = batch_posteriors(tree, params, pack_counts(tree, sets))
+        for column, obs in enumerate(sets):
+            belief = BeliefTable(result, column)
+            oracle = brute_force_posteriors(tree, params, obs)
+            assert abs(belief.log_likelihood - oracle.log_likelihood) <= 1e-10
+            # The root's row treats its parent as unmastered.
+            m_root = oracle.marginal[tree.root]
+            root_cells = result.cells[:, result.plan.index[tree.root], column]
+            assert np.allclose(root_cells, [1.0 - m_root, m_root, 0.0], rtol=0.0, atol=1e-10)
+            for node in tree.nodes:
+                assert abs(belief.marginal[node] - oracle.marginal[node]) <= 1e-10
+                if node != tree.root:
+                    for cell, value in oracle.pairwise[node].items():
+                        assert abs(belief.pairwise[node][cell] - value) <= 1e-10
+
+    @pytest.mark.parametrize("shape, n_nodes", [
+        ("random", 30), ("chain", 40), ("star", 25), ("caterpillar", 200),
+    ])
+    def test_batch_equals_batches_of_one(self, shape, n_nodes):
+        rng = np.random.default_rng(n_nodes)
+        tree = shaped_tree(shape, n_nodes, rng)
+        params = random_parameters(tree, rng)
+        counts = pack_counts(
+            tree, [random_observations(tree, rng, max_obs=60) for _ in range(9)]
+        )
+        batch = batch_posteriors(tree, params, counts)
+        for s in range(counts.shape[2]):
+            one = batch_posteriors(tree, params, counts[:, :, s:s + 1].copy())
+            for got, want in [(one.marginal, batch.marginal[:, s:s + 1]),
+                              (one.cells, batch.cells[:, :, s:s + 1]),
+                              (one.log_likelihood, batch.log_likelihood[s:s + 1])]:
+                np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+class TestParameterChecks:
+    def test_gamma_missing_a_node(self):
+        tree = star_tree(2)
+        params = Parameters(gamma={"root": 0.2, "l0": 0.3}, r_easy=0.9,
+                            r_med=0.8, r_hard=0.7, epsilon=0.1)
+        with pytest.raises(ParameterError, match="'l1'"):
+            posteriors(tree, params, observation_set(tree, []))
+
+    @pytest.mark.parametrize("name, value, needle", [
+        ("gamma", 0.0, "'l0'"),
+        ("gamma", 1.0, "'l0'"),
+        ("r_easy", 1.0, "r_easy"),
+        ("r_hard", float("nan"), "r_hard"),
+        ("epsilon", 0.0, "epsilon"),
+    ])
+    def test_probability_outside_open_interval(self, name, value, needle):
+        tree = star_tree(2)
+        fields = dict(gamma={"root": 0.2, "l0": 0.3, "l1": 0.4}, r_easy=0.9,
+                      r_med=0.8, r_hard=0.7, epsilon=0.1)
+        if name == "gamma":
+            fields["gamma"] = {**fields["gamma"], "l0": value}
+        else:
+            fields[name] = value
+        with pytest.raises(ParameterError, match=needle):
+            log_likelihood(tree, Parameters(**fields), observation_set(tree, []))
 
 
 class TestInvariants:

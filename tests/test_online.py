@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,12 @@ from treekt import (
     replay,
     split_burn_in,
 )
-from treekt.online import parse_stream, serialize_predictions, serialize_stream
+from treekt.online import (
+    StreamFormatError,
+    parse_stream,
+    serialize_predictions,
+    serialize_stream,
+)
 from treekt.simulate import (
     SimConfig,
     generate_classroom,
@@ -53,6 +60,21 @@ class TestStreamIO:
     def test_bad_line_reports_position(self):
         with pytest.raises(ValueError, match="line 1"):
             parse_stream("{broken")
+
+    @pytest.mark.parametrize("field, value", [
+        ("difficulty", None), ("difficulty", "weird"), ("correct", "yes"),
+    ])
+    def test_bad_record_names_source_and_line(self, field, value):
+        _, _, stream = small_classroom()
+        lines = serialize_stream(stream[:3]).splitlines()
+        record = json.loads(lines[1])
+        if value is None:
+            del record[field]
+        else:
+            record[field] = value
+        lines[1] = json.dumps(record)
+        with pytest.raises(StreamFormatError, match="^s.jsonl:2: "):
+            parse_stream("\n".join(lines), source="s.jsonl")
 
 
 class TestSplitBurnIn:
@@ -110,6 +132,37 @@ class TestSessionLifecycle:
         )
         expected = one_step_update(tree, session.theta_init, dataset)
         assert session.students[rec.student_id].params == expected
+
+    def test_cached_pool_update_equals_rebuilt_update(self):
+        # The session splices the target's history into the burn-in pool it
+        # packed once; that must equal a one-step update over a dataset
+        # rebuilt from scratch, also for students outside the burn-in.
+        tree, bank, stream = small_classroom(seed=12, n_students=8)
+        burn_in, remainder = split_burn_in(stream, 4)
+        session = burn_in_fit(tree, burn_in, tol=1e-6)
+        events = [(r.student_id, r.interaction()) for r in remainder[:12]]
+        q = bank[0]
+        events += [(sid, Interaction(q.question_id, q.kc, q.difficulty, 1))
+                   for sid in ("a_newcomer", "zz_newcomer", "a_newcomer")]
+        for sid, interaction in events:
+            model = session.students.get(sid)
+            before = model.params if model is not None else session.theta_init
+            observe(session, sid, interaction)
+            dataset = [
+                StudentObservations(other, observation_set(tree, obs))
+                for other, obs in burn_in.items()
+                if other != sid
+            ]
+            dataset.append(StudentObservations(
+                sid, observation_set(tree, session.student_history(sid))
+            ))
+            want = one_step_update(tree, before, dataset)
+            got = session.students[sid].params
+            assert set(got.gamma) == set(want.gamma)
+            for node in want.gamma:
+                assert abs(got.gamma[node] - want.gamma[node]) <= 1e-12
+            for name in ("r_easy", "r_med", "r_hard", "epsilon"):
+                assert abs(getattr(got, name) - getattr(want, name)) <= 1e-12
 
     def test_other_students_unaffected_by_observe(self):
         tree, bank, stream = small_classroom(seed=3)

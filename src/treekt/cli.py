@@ -49,8 +49,6 @@ _DEFAULTS = {
     "max_iters": 100,
     "seed": 0,
     "threads": 1,
-    "bin_hi": 0.75,
-    "bin_lo": 0.50,
     "threshold": 0.5,
 }
 
@@ -84,7 +82,7 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
     config = _read_config(getattr(args, "config", None))
     casters = {
         "burn_in": int, "tol": float, "max_iters": int, "seed": int,
-        "threads": int, "bin_hi": float, "bin_lo": float, "threshold": float,
+        "threads": int, "threshold": float,
     }
     for name, caster in casters.items():
         if hasattr(args, name):
@@ -275,8 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--burn-in", dest="burn_in", type=int, default=None)
     p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--bin-hi", dest="bin_hi", type=float, default=None)
-    p.add_argument("--bin-lo", dest="bin_lo", type=float, default=None)
     common(p, "tol", "max_iters", "threads")
     p.set_defaults(func=cmd_eval)
 

@@ -1,7 +1,8 @@
 """EM parameter estimation with closed-form updates.
 
 The E-step sums the kernel's output over the student axis into a few
-accumulators; the M-step turns those into new parameters by simple ratios.
+accumulators, for one target dataset or for many at once, each at its own
+parameters; the M-step turns those into new parameters by simple ratios.
 Every update keeps the guessing probability capped and all probabilities
 strictly inside (0,1), which preserves the EM monotonicity guarantee.
 """
@@ -15,7 +16,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .inference import CELL_KEYS, ObservationSet, batch_posteriors, pack_counts
+from .inference import (
+    CELL_KEYS,
+    ObservationSet,
+    batch_posteriors,
+    log_parameters,
+    pack_counts,
+)
 from .model import EPSILON_CAP, Parameters, clamp_probability, ordering_satisfied
 from .tree import ConceptTree, Difficulty
 
@@ -79,6 +86,44 @@ class FitReport:
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+def batch_e_step(
+    tree: ConceptTree, params: Sequence[Parameters], counts: np.ndarray
+) -> list[tuple[SufficientStats, float]]:
+    """The E-steps of T targets in one kernel pass: target t's dataset is
+    counts[:, :, t] ([V, 6, T, S]) at params[t]. Returns each target's
+    accumulators and total data log-likelihood; a target's sums run over
+    its S columns in column order."""
+    n_nodes, n_cells, n_targets, n_students = counts.shape
+    post = batch_posteriors(
+        tree, log_parameters(tree, params, repeat=n_students),
+        counts.reshape(n_nodes, n_cells, n_targets * n_students))
+    marginal = post.marginal.reshape(n_nodes, n_targets, n_students)
+    cells = post.cells.reshape(3, n_nodes, n_targets, n_students)
+    unmastered = np.einsum("vkts,vts->tk", counts, cells[0]).tolist()
+    mastered = np.einsum("vkts,vts->tk", counts, marginal).tolist()
+    pair = cells.sum(axis=3).transpose(2, 0, 1).tolist()
+    root = marginal[0].sum(axis=1).tolist()
+    ll = post.log_likelihood.reshape(n_targets, n_students).sum(axis=1).tolist()
+    non_root = post.plan.order[1:]
+    results = []
+    for t in range(n_targets):
+        stats = SufficientStats(
+            gamma_num=dict(zip(non_root, pair[t][1][1:])),
+            gamma_den_extra=dict(zip(non_root, pair[t][0][1:])),
+            root_num=root[t],
+            n_students=n_students,
+        )
+        for k, (difficulty, correct) in enumerate(CELL_KEYS):
+            if correct == 1:
+                stats.eps_pos += unmastered[t][k]
+                stats.r_pos[difficulty] += mastered[t][k]
+            else:
+                stats.eps_neg += unmastered[t][k]
+                stats.r_neg[difficulty] += mastered[t][k]
+        results.append((stats, ll[t]))
+    return results
+
+
 def e_step(
     tree: ConceptTree,
     params: Parameters,
@@ -88,30 +133,12 @@ def e_step(
     """Accumulate sufficient statistics; also returns the total data
     log-likelihood at the current parameters (a free by-product).
 
-    The dataset may come packed (see pack_dataset). Accumulators are sums
-    over the student axis in student-id order, so the order of the dataset
-    does not matter. threads is accepted and has no effect.
+    The dataset may come packed (see pack_dataset). This is batch_e_step
+    with one target, so sums run in student-id order and the order of the
+    dataset does not matter. threads is accepted and has no effect.
     """
     counts = pack_dataset(tree, dataset)
-    post = batch_posteriors(tree, params, counts)
-    unmastered = (counts * post.cells[0][:, None, :]).sum(axis=(0, 2))
-    mastered = (counts * post.marginal[:, None, :]).sum(axis=(0, 2))
-    pair = post.cells.sum(axis=2)
-    non_root = post.plan.order[1:]
-    stats = SufficientStats(
-        gamma_num=dict(zip(non_root, pair[1, 1:].tolist())),
-        gamma_den_extra=dict(zip(non_root, pair[0, 1:].tolist())),
-        root_num=float(post.marginal[0].sum()),
-        n_students=counts.shape[2],
-    )
-    for k, (difficulty, correct) in enumerate(CELL_KEYS):
-        if correct == 1:
-            stats.eps_pos += float(unmastered[k])
-            stats.r_pos[difficulty] += float(mastered[k])
-        else:
-            stats.eps_neg += float(unmastered[k])
-            stats.r_neg[difficulty] += float(mastered[k])
-    return stats, float(post.log_likelihood.sum())
+    return batch_e_step(tree, [params], counts[:, :, None, :])[0]
 
 
 def m_step(stats: SufficientStats, prev: Parameters) -> Parameters:

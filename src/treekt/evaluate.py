@@ -152,8 +152,15 @@ def run_experiment(
     config: ExperimentConfig = ExperimentConfig(),
     init: Parameters | None = None,
 ) -> ExperimentResult:
-    """Split off per-student burn-in, fit, replay the rest, and score."""
+    """Split off per-student burn-in, fit, replay the rest, and score.
+    A remainder that cannot be scored fails before the fit."""
     burn_in, remainder = split_burn_in(stream, config.burn_in_count)
+    outcomes = {rec.correct for rec in remainder}
+    if len(outcomes) < 2:
+        found = f"only correct={outcomes.pop()} responses" if outcomes else "no responses"
+        raise MetricError(
+            f"--burn-in {config.burn_in_count} leaves {found} to replay; "
+            "scoring needs correct and incorrect responses after burn-in")
     session = burn_in_fit(
         tree,
         burn_in,

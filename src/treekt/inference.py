@@ -9,10 +9,11 @@ of the order responses arrived in, bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -22,6 +23,9 @@ from .tree import ConceptTree, Difficulty, QuestionMeta
 #: The (difficulty, correct) cell of each slot on axis 1 of packed counts.
 CELL_KEYS = tuple((d, c) for d in Difficulty for c in (0, 1))
 _CELL_INDEX = {key: k for k, key in enumerate(CELL_KEYS)}
+#: Per cell: its rate's position in (r_easy, r_med, r_hard), and whether
+#: it is a correct response.
+_CELL_RATE_CORRECT = tuple((list(Difficulty).index(d), c) for d, c in CELL_KEYS)
 
 
 class InferenceError(ValueError):
@@ -119,23 +123,61 @@ def pack_counts(
     return counts
 
 
-def _log_params(plan: KernelPlan, params: Parameters):
-    """log gamma, log(1 - gamma) as [V, 1], and per-cell log-emissions at
-    mastery and unmastered minus mastered; probabilities are checked first."""
+class LogParameters(NamedTuple):
+    """Parameters in the kernel's log form, one column per parameter set:
+    a single column is shared by every counts column, K columns give each
+    counts column its own set."""
+
+    log_gamma: np.ndarray  # [V, K], nodes in plan order
+    log1m_gamma: np.ndarray  # [V, K]
+    log_e1: np.ndarray  # [6, K], log-emission at mastery per cell
+    log_ratio: np.ndarray  # [6, K], unmastered minus mastered
+
+
+def _log_column(plan: KernelPlan, params: Parameters) -> np.ndarray:
+    """One parameter set in log form, [2V + 12]: log gamma, log(1 - gamma),
+    log_e1 and log_ratio. Probabilities are checked first; the column is
+    built once and kept with the (immutable) parameters."""
+    cached = params.__dict__.get("_log_column")
+    if cached is not None and cached[0] is plan:
+        return cached[1]
     try:
-        gamma = np.array([params.gamma[node] for node in plan.order], dtype=float)
+        probs = [params.gamma[node] for node in plan.order]
     except KeyError as exc:
         raise ParameterError(f"gamma has no value for node {exc.args[0]!r}") from None
-    probs = np.append(gamma, [params.r_easy, params.r_med, params.r_hard, params.epsilon])
-    bad = np.flatnonzero(~((probs > 0.0) & (probs < 1.0)))
-    if bad.size:
-        names = [f"gamma of node {node!r}" for node in plan.order]
-        names += ["r_easy", "r_med", "r_hard", "epsilon"]
-        raise ParameterError(f"{names[bad[0]]} is {probs[bad[0]]!r}, outside (0, 1)")
-    eps = params.epsilon
-    log_e1 = np.log([params.phi(d) if c else 1.0 - params.phi(d) for d, c in CELL_KEYS])
-    log_e0 = np.log([eps if c else 1.0 - eps for _, c in CELL_KEYS])
-    return np.log(gamma)[:, None], np.log1p(-gamma)[:, None], log_e1, log_e0 - log_e1
+    probs += [params.r_easy, params.r_med, params.r_hard, params.epsilon]
+    for i, p in enumerate(probs):
+        if not 0.0 < p < 1.0:
+            names = [f"gamma of node {node!r}" for node in plan.order]
+            names += ["r_easy", "r_med", "r_hard", "epsilon"]
+            raise ParameterError(f"{names[i]} is {p!r}, outside (0, 1)")
+    log_p = [math.log(p) for p in probs]
+    log_q = [math.log1p(-p) for p in probs]
+    v = len(plan.order)
+    log_e1 = [log_p[v + r] if c else log_q[v + r] for r, c in _CELL_RATE_CORRECT]
+    log_e0 = [log_p[-1] if c else log_q[-1] for _, c in _CELL_RATE_CORRECT]
+    column = np.array(log_p[:v] + log_q[:v] + log_e1
+                      + [e0 - e1 for e0, e1 in zip(log_e0, log_e1)])
+    params.__dict__["_log_column"] = (plan, column)
+    return column
+
+
+def log_parameters(
+    tree: ConceptTree, params: Parameters | Sequence[Parameters], repeat: int = 1
+) -> LogParameters:
+    """One column for a parameter set; for a sequence, one per set, each
+    repeated for `repeat` consecutive counts columns (one shared column if
+    every entry is the same set)."""
+    plan = kernel_plan(tree)
+    many = params if isinstance(params, Sequence) else [params]
+    if all(p is many[0] for p in many):
+        stacked = _log_column(plan, many[0])[:, None]
+    else:
+        stacked = np.stack([_log_column(plan, p) for p in many], axis=1)
+        stacked = stacked.repeat(repeat, axis=1)
+    v = len(plan.order)
+    return LogParameters(stacked[:v], stacked[v:2 * v], stacked[2 * v:2 * v + 6],
+                         stacked[2 * v + 6:])
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,9 +193,11 @@ class BatchPosteriors:
 
 
 def batch_posteriors(
-    tree: ConceptTree, params: Parameters, counts: np.ndarray
+    tree: ConceptTree, params: Parameters | LogParameters, counts: np.ndarray
 ) -> BatchPosteriors:
-    """The kernel: posteriors of every student in packed counts [V, 6, S].
+    """The kernel: posteriors of every column of packed counts [V, 6, C],
+    under log-parameters with one shared column or one column per counts
+    column (a Parameters value is one shared column).
 
     A mastered node forces its subtree, so its upward message lb1 is a sum
     of log-emissions and only the message bt0 to an unmastered parent needs
@@ -161,9 +205,16 @@ def batch_posteriors(
     conditional probabilities (Durand, Goncalves & Guedon, IEEE TSP 2004).
     """
     plan = kernel_plan(tree)
-    log_gamma, log1m_gamma, log_e1, log_ratio = _log_params(plan, params)
+    if not isinstance(params, LogParameters):
+        params = log_parameters(tree, params)
+    log_gamma, log1m_gamma, log_e1, log_ratio = params
     # shifted = lb0 - lb1 + log(1 - gamma) and up = bt0 - lb1, per node.
-    shifted = log_ratio @ counts + log1m_gamma
+    shared = log_ratio.shape[1] == 1  # then a matmul does the emission sums
+    if shared:
+        shifted = log_ratio[:, 0] @ counts
+    else:
+        shifted = np.einsum("vkc,kc->vc", counts, log_ratio)
+    shifted += log1m_gamma
     up = np.empty_like(shifted)
     for here, above, _, incidence in reversed(plan.levels):
         # Every child of this level has already added its message.
@@ -173,7 +224,11 @@ def batch_posteriors(
             parents = shifted[above]
             np.add(parents, incidence.dot(level_up), out=parents)
     # lb1 of the root is every response's log-emission at mastery.
-    log_likelihood = log_e1 @ counts.sum(axis=0) + up[0]
+    if shared:
+        log_likelihood = log_e1[:, 0] @ counts.sum(axis=0)
+    else:
+        log_likelihood = np.einsum("kc,kc->c", counts.sum(axis=0), log_e1)
+    log_likelihood += up[0]
 
     # log P(v unmastered) sums log P(u unmastered | parent unmastered, data)
     # = shifted - up over v and its ancestors; each is <= 0 exactly.

@@ -6,28 +6,45 @@ gets a personalized parameter copy that is refreshed with a single EM
 iteration over the burn-in data plus that student's own history after every
 new response (optionally batched). Students never see each other's
 post-burn-in data.
+
+So the t-th update of one student does not depend on any other student's,
+and work runs in rounds of distinct students. A round predicts one question
+per student in one kernel call, each column at that student's parameters,
+then reveals one response per student and runs every update that falls due
+as one E-step over a [V, 6, T, S] slab: per target, the burn-in pool with
+the target's column replaced by (or, for a newcomer, joined by) the
+target's full history. Slabs hold at most SLAB_CELLS cells. replay runs
+the stream as rounds; observe and predict_next are rounds of one student.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .em import FitReport, StudentObservations, fit, one_step_update, pack_dataset
+from .em import FitReport, StudentObservations, batch_e_step, fit, m_step, pack_dataset
 from .inference import (
+    BeliefTable,
     Interaction,
     Prediction,
+    batch_posteriors,
+    log_parameters,
     observation_set,
     pack_counts,
-    posteriors,
     predict,
 )
 from .model import Parameters, default_parameters
 from .tree import ConceptTree, Difficulty, QuestionMeta
+
+#: Cells (targets x pool columns x nodes) of one slab of one-step updates.
+#: It bounds the memory of a round whatever the pool's size, and, being
+#: fixed, keeps every result independent of --threads.
+SLAB_CELLS = 4800
 
 
 @dataclass(frozen=True)
@@ -88,23 +105,22 @@ class ClassroomSession:
         return history
 
     def _history_counts(self, student_id: str) -> np.ndarray:
-        """The conditioning set as one kernel column, kept until it grows."""
+        """The conditioning set as one kernel column [V, 6, 1]. A session
+        that updates keeps it on the student's model, where each revealed
+        response is added; it is no larger than the student's column in the
+        burn-in pool. A frozen session packs it on demand."""
         model = self.students.get(student_id)
         if model is not None and model.packed is not None:
             return model.packed
         obs = observation_set(self.tree, self.student_history(student_id))
         counts = pack_counts(self.tree, [obs])
-        if model is not None:
+        if model is not None and self.update_batch is not None:
             model.packed = counts
         return counts
 
-    def _update_counts(self, student_id: str) -> np.ndarray:
-        """The burn-in pool's columns, minus the target student's, plus the
-        target's full history, in student-id order."""
-        j = sum(sid < student_id for sid in self.burn_in)
-        rest = j + (student_id in self.burn_in)
-        pool, column = self.pool_counts, self._history_counts(student_id)
-        return np.concatenate([pool[:, :, :j], column, pool[:, :, rest:]], axis=2)
+    @cached_property
+    def pool_ids(self) -> list[str]:
+        return sorted(self.burn_in)
 
     @cached_property
     def pool_counts(self) -> np.ndarray:
@@ -113,6 +129,21 @@ class ClassroomSession:
             StudentObservations(sid, observation_set(self.tree, interactions))
             for sid, interactions in self.burn_in.items()
         ])
+
+    def _slab(self, targets: Sequence[str]) -> np.ndarray:
+        """The update datasets of T targets as [V, 6, T, S]: per target, the
+        pool in student-id order with the target's column replaced by its
+        full history. Targets are all in the pool, or all newcomers, whose
+        column is inserted in order instead."""
+        pool = self.pool_counts
+        columns = np.concatenate([*map(self._history_counts, targets)], axis=2)
+        at = [bisect_left(self.pool_ids, sid) for sid in targets]
+        if targets[0] in self.burn_in:
+            slab = np.repeat(pool[:, :, None, :], len(targets), axis=2)
+            slab[:, :, np.arange(len(targets)), at] = columns
+            return slab
+        return np.stack([np.insert(pool, j, columns[:, :, t], axis=2)
+                         for t, j in enumerate(at)], axis=2)
 
 
 def burn_in_fit(
@@ -140,25 +171,66 @@ def burn_in_fit(
     return session
 
 
+def _predict_round(
+    session: ClassroomSession, student_ids: Sequence[str],
+    questions: Sequence[QuestionMeta],
+) -> list[Prediction]:
+    """Predict one question for each of distinct students, every student at
+    their own parameters and history, in kernel calls of SLAB_CELLS."""
+    tree, preds = session.tree, []
+    size = max(1, SLAB_CELLS // len(tree.nodes))
+    for a in range(0, len(student_ids), size):
+        chunk = student_ids[a:a + size]
+        params = [
+            model.params if model is not None else session.theta_init
+            for model in map(session.students.get, chunk)
+        ]
+        counts = np.concatenate([*map(session._history_counts, chunk)], axis=2)
+        post = batch_posteriors(tree, log_parameters(tree, params), counts)
+        preds += [predict(p, BeliefTable(post, column), question)
+                  for column, (p, question) in enumerate(zip(params, questions[a:]))]
+    return preds
+
+
+def _reveal_round(
+    session: ClassroomSession, events: Sequence[tuple[str, Interaction]]
+) -> None:
+    """Append one response to each of distinct students' histories, then
+    run every one-step update that falls due, in slabs of SLAB_CELLS."""
+    tree, due = session.tree, []
+    for student_id, interaction in events:
+        model = session.students.get(student_id)
+        if model is None:
+            model = StudentModel(student_id=student_id, params=session.theta_init)
+            session.students[student_id] = model
+        if model.packed is not None:
+            model.packed += pack_counts(tree, [observation_set(tree, [interaction])])
+        model.history.append(interaction)
+        if session.update_batch is None:
+            continue
+        model.pending += 1
+        if model.pending >= session.update_batch:
+            due.append(model)
+    if not due:
+        return
+    for inserted in (False, True):
+        group = [m for m in due if (m.student_id not in session.burn_in) == inserted]
+        size = max(1, SLAB_CELLS // (len(tree.nodes) * (len(session.burn_in) + inserted)))
+        for a in range(0, len(group), size):
+            chunk = group[a:a + size]
+            slab = session._slab([m.student_id for m in chunk])
+            steps = batch_e_step(tree, [m.params for m in chunk], slab)
+            for model, (stats, _) in zip(chunk, steps):
+                model.params = m_step(stats, model.params)
+                model.pending = 0
+
+
 def observe(
     session: ClassroomSession, student_id: str, interaction: Interaction
 ) -> ClassroomSession:
     """Append a response to the student's history and refresh their model
     with a single EM iteration over burn-in data plus their history."""
-    model = session.students.get(student_id)
-    if model is None:
-        model = StudentModel(student_id=student_id, params=session.theta_init)
-        session.students[student_id] = model
-    model.history.append(interaction)
-    model.packed = None
-    if session.update_batch is None:
-        return session
-    model.pending += 1
-    if model.pending >= session.update_batch:
-        model.params = one_step_update(
-            session.tree, model.params, session._update_counts(student_id)
-        )
-        model.pending = 0
+    _reveal_round(session, [(student_id, interaction)])
     return session
 
 
@@ -168,30 +240,37 @@ def predict_next(
     """Posterior over the question's concept given the student's history,
     blended with the emission rates. Unseen students use the shared model
     and an empty personal history."""
-    model = session.students.get(student_id)
-    params = model.params if model is not None else session.theta_init
-    belief = posteriors(session.tree, params, session._history_counts(student_id))
-    return predict(params, belief, question)
+    return _predict_round(session, [student_id], [question])[0]
 
 
 def replay(
     session: ClassroomSession, stream: Sequence[StreamRecord]
 ) -> list[PredictionRecord]:
-    """Prequential loop: predict each response before revealing it."""
-    records = []
-    for rec in stream:
-        question = QuestionMeta(rec.question_id, rec.kc, rec.difficulty)
-        pred = predict_next(session, rec.student_id, question)
-        records.append(
-            PredictionRecord(
+    """Prequential loop: predict each response before revealing it.
+
+    Runs in lock-step rounds: round t predicts the t-th response of every
+    student with that many left, then reveals them all. A student's
+    responses keep their stream order, and students do not see each
+    other's, so this equals predicting and revealing in stream order.
+    Records come back in stream order."""
+    queues: dict[str, list[int]] = {}
+    for i, rec in enumerate(stream):
+        queues.setdefault(rec.student_id, []).append(i)
+    records: list = [None] * len(stream)
+    for t in range(max(map(len, queues.values()), default=0)):
+        batch = [(i, stream[i]) for i in (q[t] for q in queues.values() if len(q) > t)]
+        preds = _predict_round(
+            session, [rec.student_id for _, rec in batch],
+            [QuestionMeta(rec.question_id, rec.kc, rec.difficulty) for _, rec in batch])
+        for (i, rec), pred in zip(batch, preds):
+            records[i] = PredictionRecord(
                 student_id=rec.student_id,
                 question_id=rec.question_id,
                 p_correct=pred.prob_correct,
                 actual=rec.correct,
                 seq=rec.seq,
             )
-        )
-        observe(session, rec.student_id, rec.interaction())
+        _reveal_round(session, [(rec.student_id, rec.interaction()) for _, rec in batch])
     return records
 
 
@@ -199,26 +278,47 @@ class StreamFormatError(ValueError):
     """A stream line cannot be read; the message names the file and line."""
 
 
+#: Stream fields and their JSON types; difficulty is also a Difficulty value.
+_STREAM_FIELDS = {"student_id": str, "question_id": str, "kc_id": str,
+                  "difficulty": str, "correct": int, "seq": int}
+
+
+def _stream_record(raw) -> StreamRecord:
+    if not isinstance(raw, dict):
+        raise TypeError(f"expected a JSON object, got {type(raw).__name__}")
+    for key, kind in _STREAM_FIELDS.items():
+        value = raw[key]
+        if not isinstance(value, kind) or isinstance(value, bool):
+            kind_name = "a string" if kind is str else "an integer"
+            raise TypeError(f"{key} must be {kind_name}, got {value!r}")
+    if raw["correct"] not in (0, 1):
+        raise ValueError(f"correct must be 0 or 1, got {raw['correct']!r}")
+    return StreamRecord(raw["student_id"], raw["question_id"], raw["kc_id"],
+                        Difficulty(raw["difficulty"]), raw["correct"], raw["seq"])
+
+
 def parse_stream(document: str, source: str = "<stream>") -> list[StreamRecord]:
-    """Parse JSON-lines stream records; source names the document in errors."""
+    """Parse JSON-lines stream records; source names the document in errors.
+    Replay follows each student's seq order, so a student's seq must
+    increase strictly from each of their lines to the next."""
     records = []
+    last: dict[str, tuple[int, int]] = {}
     for i, line in enumerate(document.splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            raw = json.loads(line)
-            records.append(StreamRecord(
-                student_id=str(raw["student_id"]),
-                question_id=str(raw["question_id"]),
-                kc=str(raw["kc_id"]),
-                difficulty=Difficulty(str(raw["difficulty"])),
-                correct=int(raw["correct"]),
-                seq=int(raw["seq"]),
-            ))
+            record = _stream_record(json.loads(line))
         except (KeyError, ValueError, TypeError) as exc:
             detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
             raise StreamFormatError(
                 f"{source}:{i}: bad stream record on line {i}: {detail}") from exc
+        seq, line_no = last.get(record.student_id, (None, None))
+        if seq is not None and record.seq <= seq:
+            raise StreamFormatError(
+                f"{source}:{i}: seq {record.seq} of student {record.student_id!r} "
+                f"does not follow seq {seq} on line {line_no}")
+        last[record.student_id] = (record.seq, i)
+        records.append(record)
     return records
 
 

@@ -1,8 +1,22 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from treekt import default_parameters, serialize_tree
 from treekt.cli import main
+from treekt.online import serialize_stream
+from treekt.simulate import (
+    SimConfig,
+    generate_classroom,
+    random_question_bank,
+    random_tree,
+)
 
 from conftest import DATA_DIR
 
@@ -228,3 +242,90 @@ class TestOptionLayering:
         ]) == 0
         metrics = json.loads((out / "metrics.json").read_text())
         assert metrics["n_records"] == 6 * 4
+
+
+class TestEvalBoundary:
+    def test_burn_in_beyond_every_history_exits_one_before_fitting(
+            self, tmp_path, capsys):
+        sim = simulate_into(tmp_path)
+        code = main([
+            "eval", "--tree", str(sim / "tree.json"),
+            "--stream", str(sim / "stream.jsonl"),
+            "--out", str(tmp_path / "out"), "--burn-in", "10",
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "--burn-in 10 leaves no responses" in captured.err
+        assert "Traceback" not in captured.err
+        assert not (tmp_path / "out").exists()
+
+    def test_bin_flags_are_gone(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--tree", "t", "--stream", "s", "--out", str(tmp_path),
+                  "--bin-hi", "0.7"])
+        assert exc.value.code == 2
+
+
+FUZZ_LINES = 60
+
+
+def _stream_mutations():
+    """(line index, (kind, field, replacement)) for one line of the fuzzed
+    stream: drop a key, give a value of the wrong JSON type, or repeat the
+    seq of the same student's neighbouring line."""
+    fields = ["student_id", "question_id", "kc_id", "difficulty", "correct", "seq"]
+    wrong = {
+        "student_id": [7, None, ["s"], {"a": 1}, True],
+        "question_id": [7, None, 1.5, []],
+        "kc_id": [3, None, False, {}],
+        "difficulty": [1, None, ["easy"], 0.5],
+        "correct": ["1", 1.0, None, True, [1]],
+        "seq": ["3", 2.5, None, False, {}],
+    }
+    drop = st.tuples(st.just("drop"), st.sampled_from(fields), st.none())
+    bad_type = st.sampled_from(fields).flatmap(
+        lambda f: st.tuples(st.just("type"), st.just(f), st.sampled_from(wrong[f])))
+    repeat = st.tuples(st.just("repeat"), st.just("seq"), st.none())
+    return st.tuples(st.integers(0, FUZZ_LINES - 1), st.one_of(drop, bad_type, repeat))
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs():
+    rng = np.random.default_rng(0)
+    tree = random_tree(rng, 5)
+    stream, _ = generate_classroom(
+        tree, default_parameters(tree), random_question_bank(rng, tree, 2),
+        SimConfig(n_students=6, n_interactions=FUZZ_LINES // 6, seed=0))
+    return serialize_tree(tree), [json.loads(line) for line in
+                                  serialize_stream(stream).splitlines()]
+
+
+class TestStreamFuzz:
+    @settings(max_examples=60, deadline=None)
+    @given(mutation=_stream_mutations())
+    def test_mutated_line_fails_cleanly(self, fuzz_inputs, mutation):
+        tree_doc, records = fuzz_inputs
+        records = [dict(r) for r in records]
+        index, (kind, field, value) = mutation
+        if kind == "drop":
+            del records[index][field]
+        elif kind == "type":
+            records[index][field] = value
+        else:
+            same = [i for i, r in enumerate(records)
+                    if r["student_id"] == records[index]["student_id"]]
+            at = same.index(index)
+            earlier, index = (same[at - 1], index) if at else (index, same[1])
+            records[index]["seq"] = records[earlier]["seq"]
+        with tempfile.TemporaryDirectory() as tmp:
+            tree, stream = Path(tmp) / "tree.json", Path(tmp) / "stream.jsonl"
+            tree.write_text(tree_doc)
+            stream.write_text("".join(json.dumps(r) + "\n" for r in records))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                code = main(["eval", "--tree", str(tree), "--stream", str(stream),
+                             "--out", str(Path(tmp) / "out"), "--burn-in", "4"])
+        assert code in (1, 2)
+        assert f"{stream}:{index + 1}:" in err.getvalue()
+        assert "Traceback" not in err.getvalue()

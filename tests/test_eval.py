@@ -153,3 +153,28 @@ class TestRunExperiment:
         b = run_experiment(tree, stream, config)
         assert a.records == b.records
         assert a.report == b.report
+
+    @pytest.mark.parametrize("burn_in, outcome", [(10, None), (3, 1), (3, 0)])
+    def test_unscorable_remainder_fails_before_fit(self, monkeypatch, burn_in,
+                                                   outcome):
+        # A remainder that is empty, or holds one outcome class, cannot be
+        # scored; that must be found before the burn-in fit is paid for.
+        import dataclasses
+
+        import treekt.evaluate
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("burn_in_fit reached")
+
+        monkeypatch.setattr(treekt.evaluate, "burn_in_fit", no_fit)
+        rng = np.random.default_rng(3)
+        tree = random_tree(rng, 6)
+        bank = random_question_bank(rng, tree, per_leaf=2)
+        stream, _ = generate_classroom(
+            tree, random_parameters(tree, rng), bank,
+            SimConfig(n_students=4, n_interactions=6, seed=3),
+        )
+        if outcome is not None:
+            stream = [dataclasses.replace(r, correct=outcome) for r in stream]
+        with pytest.raises(MetricError, match=f"--burn-in {burn_in} "):
+            run_experiment(tree, stream, ExperimentConfig(burn_in_count=burn_in))

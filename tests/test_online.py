@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from treekt import (
+    ClassroomSession,
     Difficulty,
     Interaction,
     StreamRecord,
@@ -31,7 +32,7 @@ from treekt.simulate import (
 )
 from treekt.tree import QuestionMeta
 
-from conftest import random_parameters
+from conftest import caterpillar_tree, random_parameters
 
 
 def small_classroom(seed=0, n_students=6, n_interactions=12, n_nodes=6):
@@ -274,3 +275,90 @@ class TestReplay:
         doc = json.loads(lines[0])
         assert doc["student_id"] == records[0].student_id
         assert doc["p_correct"] == records[0].p_correct
+
+
+def assert_same_params(got, want, tol=1e-12):
+    assert set(got.gamma) == set(want.gamma)
+    for node in want.gamma:
+        assert abs(got.gamma[node] - want.gamma[node]) <= tol
+    for name in ("r_easy", "r_med", "r_hard", "epsilon"):
+        assert abs(getattr(got, name) - getattr(want, name)) <= tol
+
+
+class TestLockStepReplay:
+    """replay runs in lock-step rounds over all students; it must equal a
+    loop of per-call predict_next and observe in stream order."""
+
+    @staticmethod
+    def classroom(shape, seed):
+        rng = np.random.default_rng(seed)
+        tree = (caterpillar_tree(100) if shape == "caterpillar"
+                else random_tree(rng, int(rng.integers(3, 10))))
+        bank = random_question_bank(rng, tree, per_leaf=2)
+        stream, _ = generate_classroom(
+            tree, random_parameters(tree, rng), bank,
+            SimConfig(n_students=7, n_interactions=9, seed=seed))
+        return tree, bank, stream
+
+    @pytest.mark.parametrize("shape, seed", [
+        ("random", 21), ("random", 22), ("random", 23), ("caterpillar", 24),
+    ])
+    @pytest.mark.parametrize("update_batch", [1, 3, None])
+    def test_replay_equals_sequential(self, shape, seed, update_batch):
+        tree, bank, stream = self.classroom(shape, seed)
+        burn_in, remainder = split_burn_in(stream, 4)
+        # A newcomer absent from burn-in joins the stream, interleaved.
+        newcomer = [StreamRecord("m_new", q.question_id, q.kc, q.difficulty,
+                                 i % 2, i) for i, q in enumerate(bank[:5])]
+        remainder = [r for pair in zip(remainder, newcomer) for r in pair] \
+            + remainder[len(newcomer):]
+        fitted = burn_in_fit(tree, burn_in, tol=1e-4, update_batch=update_batch)
+
+        def session():
+            s = ClassroomSession(tree=tree, burn_in=burn_in,
+                                 theta_init=fitted.theta_init,
+                                 update_batch=update_batch)
+            # Student state that exists before the replay starts.
+            q = bank[-1]
+            for sid in (sorted(burn_in)[0], "a_early_newcomer"):
+                observe(s, sid, Interaction(q.question_id, q.kc, q.difficulty, 1))
+            return s
+
+        lockstep, sequential = session(), session()
+        got = replay(lockstep, remainder)
+        want = []
+        for rec in remainder:
+            question = QuestionMeta(rec.question_id, rec.kc, rec.difficulty)
+            want.append(predict_next(sequential, rec.student_id, question))
+            observe(sequential, rec.student_id, rec.interaction())
+
+        assert [(r.student_id, r.question_id, r.actual, r.seq) for r in got] == [
+            (r.student_id, r.question_id, r.correct, r.seq) for r in remainder]
+        for record, pred in zip(got, want):
+            assert abs(record.p_correct - pred.prob_correct) <= 1e-12
+        assert set(lockstep.students) == set(sequential.students)
+        for sid, model in sequential.students.items():
+            other = lockstep.students[sid]
+            assert len(other.history) == len(model.history)
+            assert other.pending == model.pending
+            assert_same_params(other.params, model.params)
+
+    def test_chunked_slabs_equal_one_slab(self, monkeypatch):
+        # The slab budget only splits rounds into kernel calls.
+        import treekt.online
+
+        tree, _, stream = self.classroom("random", 25)
+        burn_in, remainder = split_burn_in(stream, 4)
+        fitted = burn_in_fit(tree, burn_in, tol=1e-4)
+        runs = []
+        for cells in (treekt.online.SLAB_CELLS, 2 * len(tree.nodes) * len(burn_in), 1):
+            monkeypatch.setattr(treekt.online, "SLAB_CELLS", cells)
+            s = ClassroomSession(tree=tree, burn_in=burn_in,
+                                 theta_init=fitted.theta_init)
+            runs.append((replay(s, remainder), s))
+        (first, base), *others = runs
+        for records, s in others:
+            for a, b in zip(records, first):
+                assert abs(a.p_correct - b.p_correct) <= 1e-12
+            for sid, model in base.students.items():
+                assert_same_params(s.students[sid].params, model.params)

@@ -18,9 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .em import StudentObservations, fit
+from .em import fit
 from .evaluate import ExperimentConfig, records_to_csv, run_experiment
-from .inference import Interaction, observation_set, posteriors
+from .inference import Interaction, observation_set, pack_counts, posteriors
 from .model import Parameters, default_parameters
 from .online import StreamFormatError, load_stream, serialize_predictions
 from .simulate import (
@@ -110,18 +110,16 @@ def cmd_validate_tree(args) -> int:
 
 def cmd_fit(args) -> int:
     tree = load_tree(args.tree)
-    stream = load_stream(args.stream)
+    stream = load_stream(args.stream, tree)
     by_student: dict[str, list] = {}
     for rec in stream:
         by_student.setdefault(rec.student_id, []).append(rec.interaction())
-    dataset = [
-        StudentObservations(sid, observation_set(tree, interactions))
-        for sid, interactions in by_student.items()
-    ]
-    if not dataset:
+    if not by_student:
         print("error: stream is empty", file=sys.stderr)
         return 1
-    report = fit(tree, dataset, default_parameters(tree),
+    # The dataset packed in student-id order, as em.pack_dataset would.
+    counts = pack_counts(tree, [by_student[sid] for sid in sorted(by_student)])
+    report = fit(tree, counts, default_parameters(tree),
                  max_iters=args.max_iters, tol=args.tol)
     out = Path(args.out)
     _write(out / "params.json", report.params.to_json())
@@ -160,7 +158,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_eval(args) -> int:
     tree = load_tree(args.tree)
-    stream = load_stream(args.stream)
+    stream = load_stream(args.stream, tree)
     config = ExperimentConfig(
         burn_in_count=args.burn_in,
         threshold=args.threshold,

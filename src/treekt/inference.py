@@ -2,9 +2,11 @@
 
 The kernel takes response counts packed as [V, 6, S] (nodes in breadth-first
 order x CELL_KEYS x students) and runs the upward-downward recursion of the
-hidden Markov tree on every student at once, one tree level at a time. A
-single student is a batch of one. Counts make every posterior independent
-of the order responses arrived in, bit for bit.
+hidden Markov tree on every student at once: upward one tree level at a
+time, downward in ceil(log2 depth) pointer-doubling steps. A single student
+is a batch of one. Responses are packed through one slot table built with
+the tree's plan. Counts make every posterior independent of the order
+responses arrived in, bit for bit.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -22,7 +24,6 @@ from .tree import ConceptTree, Difficulty, QuestionMeta
 
 #: The (difficulty, correct) cell of each slot on axis 1 of packed counts.
 CELL_KEYS = tuple((d, c) for d in Difficulty for c in (0, 1))
-_CELL_INDEX = {key: k for k, key in enumerate(CELL_KEYS)}
 #: Per cell: its rate's position in (r_easy, r_med, r_hard), and whether
 #: it is a correct response.
 _CELL_RATE_CORRECT = tuple((list(Difficulty).index(d), c) for d, c in CELL_KEYS)
@@ -60,19 +61,17 @@ class ObservationSet:
     def __len__(self) -> int:
         return len(self.interactions)
 
+    def __iter__(self) -> Iterator[Interaction]:
+        return iter(self.interactions)
+
 
 def observation_set(
     tree: ConceptTree, interactions: Iterable[Interaction]
 ) -> ObservationSet:
     interactions = tuple(interactions)
+    cell_slots(tree, interactions)  # every response is checked against the tree
     counts: dict[str, dict[tuple[Difficulty, int], int]] = {}
     for it in interactions:
-        if it.kc not in tree:
-            raise InferenceError(f"observation references unknown KC {it.kc!r}")
-        if not tree.is_leaf(it.kc):
-            raise InferenceError(f"observation KC {it.kc!r} is not a leaf")
-        if it.correct not in (0, 1):
-            raise InferenceError(f"correct must be 0 or 1, got {it.correct!r}")
         node_counts = counts.setdefault(it.kc, {})
         key = (it.difficulty, it.correct)
         node_counts[key] = node_counts.get(key, 0) + 1
@@ -81,8 +80,14 @@ def observation_set(
 
 class KernelPlan:
     """Breadth-first numbering of a tree, so each level is a contiguous slice.
-    levels: root first, (slice, parent level's slice, parent indices, dense
-    0/1 incidence [parent level, level]); the root level has only its slice."""
+
+    levels: root first, (slice, parent level's slice, dense 0/1 incidence
+    [parent level, level]); the root level has only its slice. Index V
+    stands for "above the root" and is its own ancestor. parent: each node's
+    parent index (V for the root). jumps: per pointer-doubling step k, the
+    2**k-th ancestor of each node; there are ceil(log2 depth) steps. slots:
+    (leaf, difficulty, correct) -> its flat cell in a [V, 6] column of
+    packed counts."""
 
     def __init__(self, tree: ConceptTree):
         order, bounds = [tree.root], [(0, 1)]
@@ -94,13 +99,24 @@ class KernelPlan:
             bounds.append((b, len(order)))
         self.order = tuple(order)
         self.index = {node: v for v, node in enumerate(order)}
+        above = len(order)
         parents = [self.index[tree.parent(node)] for node in order[1:]]
-        self.parent = np.array([0] + parents, dtype=np.intp)
-        self.levels = [(slice(0, 1), None, None, None)]
+        ancestor = np.array([above] + parents + [above], dtype=np.intp)
+        self.parent = ancestor[:above]
+        self.levels = [(slice(0, 1), None, None)]
         for (a, b), (pa, pb) in zip(bounds[1:], bounds):
             incidence = np.zeros((pb - pa, b - a))
             incidence[self.parent[a:b] - pa, np.arange(b - a)] = 1.0
-            self.levels.append((slice(a, b), slice(pa, pb), self.parent[a:b], incidence))
+            self.levels.append((slice(a, b), slice(pa, pb), incidence))
+        self.jumps = []
+        for _ in range((len(bounds) - 1).bit_length()):
+            self.jumps.append(ancestor[:above])
+            ancestor = ancestor[ancestor]
+        self.slots = {
+            (node, difficulty, correct): v * len(CELL_KEYS) + k
+            for v, node in enumerate(order) if tree.is_leaf(node)
+            for k, (difficulty, correct) in enumerate(CELL_KEYS)
+        }
 
 
 def kernel_plan(tree: ConceptTree) -> KernelPlan:
@@ -110,16 +126,46 @@ def kernel_plan(tree: ConceptTree) -> KernelPlan:
     return tree.__dict__["_kernel_plan"]
 
 
+def leaf_error(tree: ConceptTree, kc: str) -> InferenceError:
+    """The error for a response labeled with kc, which is not a leaf."""
+    if kc not in tree:
+        return InferenceError(f"observation references unknown KC {kc!r}")
+    return InferenceError(f"observation KC {kc!r} is not a leaf")
+
+
+def _slot_error(tree: ConceptTree, it: Interaction) -> InferenceError:
+    """Why a response has no cell in the tree's slot table."""
+    if it.kc not in tree or not tree.is_leaf(it.kc):
+        return leaf_error(tree, it.kc)
+    if it.correct not in (0, 1):
+        return InferenceError(f"correct must be 0 or 1, got {it.correct!r}")
+    return InferenceError(f"difficulty must be a Difficulty, got {it.difficulty!r}")
+
+
+def cell_slots(tree: ConceptTree, interactions: Collection[Interaction]) -> list[int]:
+    """Each response's flat cell in a [V, 6] column of packed counts.
+    Raises InferenceError for a response outside the tree's leaves."""
+    slots = kernel_plan(tree).slots
+    try:
+        return [slots[it.kc, it.difficulty, it.correct] for it in interactions]
+    except KeyError:
+        for it in interactions:
+            if (it.kc, it.difficulty, it.correct) not in slots:
+                raise _slot_error(tree, it) from None
+        raise
+
+
 def pack_counts(
-    tree: ConceptTree, observation_sets: Sequence[ObservationSet]
+    tree: ConceptTree, histories: Sequence[Collection[Interaction]]
 ) -> np.ndarray:
-    """Response counts of each student, one column each, as [V, 6, S]."""
-    index = kernel_plan(tree).index
-    counts = np.zeros((len(index), len(CELL_KEYS), len(observation_sets)))
-    for s, obs in enumerate(observation_sets):
-        for node, node_counts in obs.counts.items():
-            for key, n in node_counts.items():
-                counts[index[node], _CELL_INDEX[key], s] = n
+    """Response counts of each history (interactions or an ObservationSet),
+    one column each, as [V, 6, S], through the tree's slot table."""
+    plan = kernel_plan(tree)
+    n = len(histories)
+    counts = np.zeros((len(plan.order), len(CELL_KEYS), n))
+    flat = [slot * n + s for s, history in enumerate(histories)
+            for slot in cell_slots(tree, history)]
+    np.add.at(counts.reshape(-1), flat, 1.0)
     return counts
 
 
@@ -201,8 +247,11 @@ def batch_posteriors(
 
     A mastered node forces its subtree, so its upward message lb1 is a sum
     of log-emissions and only the message bt0 to an unmastered parent needs
-    a log-sum-exp; both are kept relative to lb1. The downward pass runs on
-    conditional probabilities (Durand, Goncalves & Guedon, IEEE TSP 2004).
+    a log-sum-exp; both are kept relative to lb1. The upward pass runs one
+    tree level at a time. The downward pass runs on conditional
+    probabilities (Durand, Goncalves & Guedon, IEEE TSP 2004): a node's
+    log-probability of being unmastered is a sum along its root path, which
+    pointer doubling forms in ceil(log2 depth) steps.
     """
     plan = kernel_plan(tree)
     if not isinstance(params, LogParameters):
@@ -216,7 +265,7 @@ def batch_posteriors(
         shifted = np.einsum("vkc,kc->vc", counts, log_ratio)
     shifted += log1m_gamma
     up = np.empty_like(shifted)
-    for here, above, _, incidence in reversed(plan.levels):
+    for here, above, incidence in reversed(plan.levels):
         # Every child of this level has already added its message.
         level_up = up[here]
         np.logaddexp(log_gamma[here], shifted[here], out=level_up)
@@ -231,13 +280,15 @@ def batch_posteriors(
     log_likelihood += up[0]
 
     # log P(v unmastered) sums log P(u unmastered | parent unmastered, data)
-    # = shifted - up over v and its ancestors; each is <= 0 exactly.
-    log_p0 = shifted - up
-    for here, _, parent_index, _ in plan.levels[1:]:
-        level = log_p0[here]
-        np.add(level, log_p0.take(parent_index, axis=0), out=level)
-    parent_log_p0 = log_p0.take(plan.parent, axis=0)
-    parent_log_p0[0] = 0.0
+    # = shifted - up over v and its ancestors; each is <= 0 exactly. Row V,
+    # above the root, stays 0. After doubling step k a node's row holds the
+    # sum over the node and its 2**(k+1) - 1 nearest ancestors.
+    buf = np.empty((len(plan.order) + 1, shifted.shape[1]))
+    buf[-1] = 0.0
+    log_p0 = np.subtract(shifted, up, out=buf[:-1])
+    for jump in plan.jumps:
+        log_p0 += buf.take(jump, axis=0)  # a copy: every row reads step k - 1
+    parent_log_p0 = buf.take(plan.parent, axis=0)
     cells = np.stack([np.exp(log_p0), np.exp(parent_log_p0 + log_gamma - up),
                       -np.expm1(parent_log_p0)])
     return BatchPosteriors(plan, -np.expm1(log_p0), cells, log_likelihood)

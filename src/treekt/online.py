@@ -27,14 +27,16 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .em import FitReport, StudentObservations, batch_e_step, fit, m_step, pack_dataset
+from .em import FitReport, batch_e_step, fit, m_step
 from .inference import (
     BeliefTable,
+    InferenceError,
     Interaction,
     Prediction,
     batch_posteriors,
+    cell_slots,
+    leaf_error,
     log_parameters,
-    observation_set,
     pack_counts,
     predict,
 )
@@ -112,8 +114,7 @@ class ClassroomSession:
         model = self.students.get(student_id)
         if model is not None and model.packed is not None:
             return model.packed
-        obs = observation_set(self.tree, self.student_history(student_id))
-        counts = pack_counts(self.tree, [obs])
+        counts = pack_counts(self.tree, [self.student_history(student_id)])
         if model is not None and self.update_batch is not None:
             model.packed = counts
         return counts
@@ -125,10 +126,7 @@ class ClassroomSession:
     @cached_property
     def pool_counts(self) -> np.ndarray:
         """The burn-in pool as kernel counts in student-id order, packed once."""
-        return pack_dataset(self.tree, [
-            StudentObservations(sid, observation_set(self.tree, interactions))
-            for sid, interactions in self.burn_in.items()
-        ])
+        return pack_counts(self.tree, [self.burn_in[sid] for sid in self.pool_ids])
 
     def _slab(self, targets: Sequence[str]) -> np.ndarray:
         """The update datasets of T targets as [V, 6, T, S]: per target, the
@@ -204,7 +202,7 @@ def _reveal_round(
             model = StudentModel(student_id=student_id, params=session.theta_init)
             session.students[student_id] = model
         if model.packed is not None:
-            model.packed += pack_counts(tree, [observation_set(tree, [interaction])])
+            model.packed.flat[cell_slots(tree, [interaction])[0]] += 1.0
         model.history.append(interaction)
         if session.update_batch is None:
             continue
@@ -297,12 +295,17 @@ def _stream_record(raw) -> StreamRecord:
                         Difficulty(raw["difficulty"]), raw["correct"], raw["seq"])
 
 
-def parse_stream(document: str, source: str = "<stream>") -> list[StreamRecord]:
+def parse_stream(
+    document: str, source: str = "<stream>", tree: ConceptTree | None = None
+) -> list[StreamRecord]:
     """Parse JSON-lines stream records; source names the document in errors.
     Replay follows each student's seq order, so a student's seq must
-    increase strictly from each of their lines to the next."""
+    increase strictly from each of their lines to the next. Given a tree,
+    a kc_id that is not one of its leaves raises InferenceError (a domain
+    failure, not a format error) naming the line."""
     records = []
     last: dict[str, tuple[int, int]] = {}
+    leaves = None if tree is None else frozenset(tree.leaves())
     for i, line in enumerate(document.splitlines(), start=1):
         if not line.strip():
             continue
@@ -318,6 +321,8 @@ def parse_stream(document: str, source: str = "<stream>") -> list[StreamRecord]:
                 f"{source}:{i}: seq {record.seq} of student {record.student_id!r} "
                 f"does not follow seq {seq} on line {line_no}")
         last[record.student_id] = (record.seq, i)
+        if leaves is not None and record.kc not in leaves:
+            raise InferenceError(f"{source}:{i}: {leaf_error(tree, record.kc)}")
         records.append(record)
     return records
 
@@ -340,9 +345,9 @@ def serialize_stream(records: Iterable[StreamRecord]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def load_stream(path: str) -> list[StreamRecord]:
+def load_stream(path: str, tree: ConceptTree | None = None) -> list[StreamRecord]:
     with open(path, encoding="utf-8") as fh:
-        return parse_stream(fh.read(), source=path)
+        return parse_stream(fh.read(), source=path, tree=tree)
 
 
 def serialize_predictions(records: Iterable[PredictionRecord]) -> str:

@@ -156,7 +156,9 @@ def build_tree(entries: Iterable[tuple[str, str, str | None]]) -> ConceptTree:
 
 
 def parse_tree(document: str) -> ConceptTree:
-    """Parse the JSON tree format: {"nodes": [{"id", "label", "parent"?}]}."""
+    """Parse the JSON tree format: {"nodes": [{"id", "label"?, "parent"?}]}.
+    id, label (default: the id) and parent (absent or null at the root) are
+    strings; an entry that breaks this is named by its index in nodes."""
     try:
         data = json.loads(document)
     except json.JSONDecodeError as exc:
@@ -164,12 +166,14 @@ def parse_tree(document: str) -> ConceptTree:
     if not isinstance(data, dict) or not isinstance(data.get("nodes"), list):
         raise TreeFormatError('tree document must be {"nodes": [...]}')
     entries = []
-    for raw in data["nodes"]:
+    for i, raw in enumerate(data["nodes"]):
         if not isinstance(raw, dict) or "id" not in raw:
-            raise TreeFormatError(f"bad node entry: {raw!r}")
-        entries.append(
-            (str(raw["id"]), str(raw.get("label", raw["id"])), raw.get("parent"))
-        )
+            raise TreeFormatError(f"nodes[{i}]: bad node entry: {raw!r}")
+        entry = (raw["id"], raw.get("label", raw["id"]), raw.get("parent"))
+        for key, value in zip(("id", "label", "parent"), entry):
+            if not isinstance(value, str) and (key != "parent" or value is not None):
+                raise TreeFormatError(f"nodes[{i}]: {key} must be a string, got {value!r}")
+        entries.append(entry)
     return build_tree(entries)
 
 
@@ -185,8 +189,14 @@ def serialize_tree(tree: ConceptTree) -> str:
 
 
 def load_tree(path: str) -> ConceptTree:
+    """parse_tree on a file; every TreeFormatError starts with the path."""
     with open(path, encoding="utf-8") as fh:
-        return parse_tree(fh.read())
+        document = fh.read()
+    try:
+        return parse_tree(document)
+    except TreeFormatError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 def validate_tree(tree: ConceptTree) -> ValidationReport:

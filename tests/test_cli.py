@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treekt import default_parameters, serialize_tree
+from treekt import default_parameters, load_tree, serialize_tree
 from treekt.cli import main
 from treekt.online import serialize_stream
 from treekt.simulate import (
@@ -264,6 +264,38 @@ class TestEvalBoundary:
             main(["eval", "--tree", "t", "--stream", "s", "--out", str(tmp_path),
                   "--bin-hi", "0.7"])
         assert exc.value.code == 2
+
+
+class TestStreamKC:
+    @pytest.mark.parametrize("command", ["fit", "eval"])
+    @pytest.mark.parametrize("kc, needle", [
+        ("no_such_kc", "unknown KC 'no_such_kc'"),
+        (None, "is not a leaf"),  # the tree's root
+    ])
+    def test_kc_outside_the_leaves_exits_one_before_fitting(
+            self, tmp_path, capsys, monkeypatch, command, kc, needle):
+        sim = simulate_into(tmp_path)
+        stream = sim / "stream.jsonl"
+        lines = stream.read_text().splitlines()
+        record = json.loads(lines[40])
+        record["kc_id"] = kc or load_tree(str(sim / "tree.json")).root
+        lines[40] = json.dumps(record)
+        stream.write_text("\n".join(lines) + "\n")
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("fitting started")
+
+        monkeypatch.setattr("treekt.cli.fit", unreachable)
+        monkeypatch.setattr("treekt.evaluate.burn_in_fit", unreachable)
+        code = main([command, "--tree", str(sim / "tree.json"), "--stream", str(stream),
+                     "--out", str(tmp_path / "out")]
+                    + (["--burn-in", "4"] if command == "eval" else []))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"{stream}:41: " in err
+        assert needle in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
 
 FUZZ_LINES = 60

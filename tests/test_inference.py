@@ -15,10 +15,12 @@ from treekt import (
     predict,
 )
 from treekt.inference import (
+    CELL_KEYS,
     BeliefTable,
     InferenceError,
     ParameterError,
     batch_posteriors,
+    kernel_plan,
     mastery_dump,
     pack_counts,
 )
@@ -208,6 +210,110 @@ class TestBatchKernel:
                               (one.cells, batch.cells[:, :, s:s + 1]),
                               (one.log_likelihood, batch.log_likelihood[s:s + 1])]:
                 np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+def chain_oracle(depth, params, interactions):
+    """Exact posteriors of chain_tree(depth) by enumeration. A mastered node
+    entails its whole subtree, so the mastered set is a suffix n_j, ...,
+    n_{depth-1}: depth + 1 states, j = depth being "nothing mastered".
+    Responses are all on the leaf n_{depth-1}, mastered unless j = depth.
+    Returns (marginals, pairwise cells by node index, log-likelihood)."""
+    log_e = [0.0, 0.0]  # log P(responses | leaf unmastered / mastered)
+    for it in interactions:
+        for mastered, p in enumerate((params.epsilon, params.phi(it.difficulty))):
+            log_e[mastered] += math.log(p if it.correct else 1.0 - p)
+    log_w, prefix = [], 0.0  # prefix: log P(n_0 .. n_{j-1} all unmastered)
+    for j in range(depth):
+        gamma = params.gamma[f"n{j}"]
+        log_w.append(prefix + math.log(gamma) + log_e[1])
+        prefix += math.log1p(-gamma)
+    log_w.append(prefix + log_e[0])
+    top = max(log_w)
+    log_z = top + math.log(math.fsum(math.exp(w - top) for w in log_w))
+    p = [math.exp(w - log_z) for w in log_w]
+    marginal = [math.fsum(p[:i + 1]) for i in range(depth)]
+    # (child, parent) = (0, 0), (1, 0), (1, 1) for n_i under n_{i-1}.
+    cells = {i: (math.fsum(p[i + 1:]), p[i], math.fsum(p[:i])) for i in range(1, depth)}
+    return marginal, cells, log_z
+
+
+#: 1-18 levels, 2**k +- 1 up to 129, and 1 000.
+CHAIN_DEPTHS = sorted({*range(1, 19), *(2**k + d for k in range(2, 8) for d in (-1, 1)),
+                       1000})
+
+
+class TestDeepChains:
+    @pytest.mark.parametrize("depth", CHAIN_DEPTHS)
+    def test_chain_matches_state_enumeration(self, depth):
+        rng = np.random.default_rng(depth)
+        tree = chain_tree(depth)
+        params = random_parameters(tree, rng)
+        leaf = f"n{depth - 1}"
+        histories = [[], *(
+            [Interaction(f"q{i}", leaf, list(Difficulty)[int(rng.integers(3))],
+                         int(rng.integers(2))) for i in range(int(rng.integers(1, 40)))]
+            for _ in range(3))]
+        result = batch_posteriors(tree, params, pack_counts(tree, histories))
+        assert len(result.plan.jumps) == math.ceil(math.log2(depth))
+        for column, history in enumerate(histories):
+            marginal, cells, log_z = chain_oracle(depth, params, history)
+            belief = BeliefTable(result, column)
+            assert abs(belief.log_likelihood - log_z) <= 1e-10
+            for i in range(depth):
+                assert abs(belief.marginal[f"n{i}"] - marginal[i]) <= 1e-10
+                if i:
+                    pair = belief.pairwise[f"n{i}"]
+                    got = (pair[(0, 0)], pair[(1, 0)], pair[(1, 1)])
+                    assert max(map(abs, np.subtract(got, cells[i]))) <= 1e-10
+
+    def test_caterpillar_marginal_never_decreases_downward(self):
+        rng = np.random.default_rng(101)
+        tree = caterpillar_tree(100)
+        params = random_parameters(tree, rng)
+        sets = [random_observations(tree, rng, max_obs=200) for _ in range(8)]
+        result = batch_posteriors(tree, params, pack_counts(tree, sets))
+        plan = result.plan
+        assert len(plan.jumps) == 7  # depth 101
+        child = np.arange(1, len(plan.order))
+        # Every edge, so every root-to-leaf path; exact, not within a tolerance.
+        assert np.all(result.marginal[child] >= result.marginal[plan.parent[child]])
+
+
+class TestSlotPacker:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        shape=st.sampled_from(["random", "chain", "star", "caterpillar"]),
+        n_nodes=st.integers(1, 30),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_observation_set_counts(self, shape, n_nodes, seed):
+        rng = np.random.default_rng(seed)
+        tree = single_node_tree() if n_nodes == 1 else shaped_tree(shape, n_nodes, rng)
+        histories = [random_observations(tree, rng, max_obs=40).interactions
+                     for _ in range(3)] + [()]
+        index = kernel_plan(tree).index
+        expected = np.zeros((len(tree.nodes), len(CELL_KEYS), len(histories)))
+        for s, history in enumerate(histories):
+            for node, node_counts in observation_set(tree, history).counts.items():
+                for key, n in node_counts.items():
+                    expected[index[node], CELL_KEYS.index(key), s] = n
+        packed = pack_counts(tree, histories)
+        assert packed.dtype == np.float64
+        np.testing.assert_array_equal(packed, expected)
+        sets = [observation_set(tree, history) for history in histories]
+        np.testing.assert_array_equal(pack_counts(tree, sets), expected)
+
+    @pytest.mark.parametrize("interaction, needle", [
+        (Interaction("q", "nope", Difficulty.EASY, 1), "unknown KC 'nope'"),
+        (Interaction("q", "root", Difficulty.EASY, 1), "KC 'root' is not a leaf"),
+        (Interaction("q", "l0", Difficulty.EASY, 2), "0 or 1"),
+        (Interaction("q", "l0", "weird", 1), "difficulty"),
+    ])
+    def test_response_outside_the_leaves_rejected(self, interaction, needle):
+        tree = star_tree(2)
+        ok = Interaction("q", "l1", Difficulty.HARD, 0)
+        with pytest.raises(InferenceError, match=needle):
+            pack_counts(tree, [[ok], [ok, interaction]])
 
 
 class TestParameterChecks:

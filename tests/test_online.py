@@ -14,6 +14,8 @@ from treekt import (
     observation_set,
     observe,
     one_step_update,
+    posteriors,
+    predict,
     predict_next,
     replay,
     split_burn_in,
@@ -216,6 +218,24 @@ class TestSessionLifecycle:
         # History still accumulates, so predictions keep personalizing.
         sid = remainder[0].student_id
         assert len(session.student_history(sid)) > len(burn_in[sid])
+
+    def test_frozen_prediction_equals_direct_posteriors(self):
+        # A frozen session packs each history on demand through the slot
+        # table; that equals a posteriors call on the history, bit for bit.
+        tree, bank, stream = small_classroom(seed=8)
+        burn_in, remainder = split_burn_in(stream, 4)
+        session = burn_in_fit(tree, burn_in, tol=1e-6, update_batch=None)
+        theta = session.theta_init
+        newcomer = [StreamRecord("brand_new", q.question_id, q.kc, q.difficulty, 1, i)
+                    for i, q in enumerate(bank[:3])]
+        for rec in remainder[:20] + newcomer:
+            question = QuestionMeta(rec.question_id, rec.kc, rec.difficulty)
+            history = session.student_history(rec.student_id)
+            direct = predict(theta, posteriors(tree, theta, observation_set(tree, history)),
+                             question)
+            assert predict_next(session, rec.student_id, question) == direct
+            observe(session, rec.student_id, rec.interaction())
+        assert all(model.packed is None for model in session.students.values())
 
     def test_update_batching(self):
         tree, _, stream = small_classroom(seed=7)

@@ -11,6 +11,7 @@ from treekt import (
     Difficulty,
     TreeFormatError,
     assign_difficulty,
+    load_tree,
     merge_sparse_leaves,
     parse_questions,
     parse_tree,
@@ -69,6 +70,43 @@ class TestParseTree:
         serialized = serialize_tree(tree)
         assert parse_tree(serialized) == tree
         assert serialize_tree(parse_tree(serialized)) == serialized
+
+
+class TestTreeFileErrors:
+    @pytest.mark.parametrize("node, needle", [
+        ({"id": ["a"], "parent": "A"}, "nodes[1]: id must be a string, got ['a']"),
+        ({"id": 7, "parent": "A"}, "nodes[1]: id must be a string, got 7"),
+        ({"id": "B", "label": None, "parent": "A"}, "nodes[1]: label must be a string"),
+        ({"id": "B", "parent": 3}, "nodes[1]: parent must be a string, got 3"),
+        ({"id": "B", "parent": ["A"]}, "nodes[1]: parent must be a string"),
+        ("B", "nodes[1]: bad node entry"),
+    ])
+    def test_non_string_field_names_the_node(self, node, needle):
+        with pytest.raises(TreeFormatError) as exc:
+            parse_tree(json.dumps({"nodes": [{"id": "A"}, node]}))
+        assert str(exc.value).startswith(needle)
+
+    def test_null_parent_is_the_root(self):
+        tree = parse_tree(json.dumps({"nodes": [{"id": "A", "parent": None},
+                                                {"id": "B", "parent": "A"}]}))
+        assert tree.root == "A"
+
+    @pytest.mark.parametrize("document", [
+        "{not json",
+        '{"nodes": "nope"}',
+        json.dumps({"nodes": [{"id": ["a"]}]}),
+        doc(("A",), ("B", "Z")),
+        doc(("B", "A"), ("A", "B")),
+    ])
+    def test_load_tree_starts_every_error_with_the_path(self, tmp_path, document):
+        path = tmp_path / "tree.json"
+        path.write_text(document)
+        with pytest.raises(TreeFormatError) as exc:
+            load_tree(str(path))
+        assert str(exc.value).startswith(f"{path}: ")
+        # An unparseable document stays distinguishable (exit 2, not 1).
+        assert isinstance(exc.value.__cause__, json.JSONDecodeError) == (
+            document == "{not json")
 
 
 class TestValidateTree:

@@ -24,7 +24,6 @@ from .tree import (
     parse_questions,
     parse_tree,
     serialize_tree,
-    traversal_orders,
     validate_tree,
 )
 from .model import (

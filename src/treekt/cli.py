@@ -14,15 +14,15 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
 from . import __version__
-from .em import fit
-from .evaluate import ExperimentConfig, records_to_csv, run_experiment
-from .inference import Interaction, observation_set, pack_counts, posteriors
+from .evaluate import ExperimentConfig, csv_lines, run_experiment
+from .inference import Interaction, observation_set, posteriors
 from .model import Parameters, default_parameters
-from .online import StreamFormatError, load_stream, serialize_predictions
+from .online import StreamFormatError, burn_in_fit, load_stream, prediction_lines
 from .simulate import (
     SimConfig,
     brute_force_posteriors,
@@ -48,7 +48,6 @@ _DEFAULTS = {
     "tol": 1e-6,
     "max_iters": 100,
     "seed": 0,
-    "threads": 1,
     "threshold": 0.5,
 }
 
@@ -82,7 +81,7 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
     config = _read_config(getattr(args, "config", None))
     casters = {
         "burn_in": int, "tol": float, "max_iters": int, "seed": int,
-        "threads": int, "threshold": float,
+        "threshold": float,
     }
     for name, caster in casters.items():
         if hasattr(args, name):
@@ -90,9 +89,11 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
     return args
 
 
-def _write(path: Path, text: str) -> None:
+def _write(path: Path, text: str | Iterable[str]) -> None:
+    """Write a text, or its lines one at a time without joining them."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    with path.open("w", encoding="utf-8") as fh:
+        fh.writelines([text] if isinstance(text, str) else text)
 
 
 def cmd_validate_tree(args) -> int:
@@ -117,10 +118,8 @@ def cmd_fit(args) -> int:
     if not by_student:
         print("error: stream is empty", file=sys.stderr)
         return 1
-    # The dataset packed in student-id order, as em.pack_dataset would.
-    counts = pack_counts(tree, [by_student[sid] for sid in sorted(by_student)])
-    report = fit(tree, counts, default_parameters(tree),
-                 max_iters=args.max_iters, tol=args.tol)
+    report = burn_in_fit(tree, by_student, max_iters=args.max_iters,
+                         tol=args.tol).fit_report
     out = Path(args.out)
     _write(out / "params.json", report.params.to_json())
     _write(out / "fit_report.json", report.to_json())
@@ -164,13 +163,12 @@ def cmd_eval(args) -> int:
         threshold=args.threshold,
         em_tol=args.tol,
         em_max_iters=args.max_iters,
-        threads=args.threads,
     )
     result = run_experiment(tree, stream, config)
     out = Path(args.out)
     _write(out / "metrics.json", result.report.to_json())
-    _write(out / "predictions.jsonl", serialize_predictions(result.records))
-    _write(out / "predictions.csv", records_to_csv(result.records))
+    _write(out / "predictions.jsonl", prediction_lines(result.records))
+    _write(out / "predictions.csv", csv_lines(result.records))
     print(result.report.table())
     return 0
 
@@ -238,7 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
         if "max_iters" in names:
             p.add_argument("--max-iters", dest="max_iters", type=int, default=None)
         if "threads" in names:
-            p.add_argument("--threads", type=int, default=None)
+            p.add_argument("--threads", type=int, default=None,
+                           help="accepted and ignored")
         if "seed" in names:
             p.add_argument("--seed", type=int, default=None)
 

@@ -128,14 +128,13 @@ def e_step(
     tree: ConceptTree,
     params: Parameters,
     dataset: Sequence[StudentObservations] | np.ndarray,
-    threads: int = 1,
 ) -> tuple[SufficientStats, float]:
     """Accumulate sufficient statistics; also returns the total data
     log-likelihood at the current parameters (a free by-product).
 
     The dataset may come packed (see pack_dataset). This is batch_e_step
     with one target, so sums run in student-id order and the order of the
-    dataset does not matter. threads is accepted and has no effect.
+    dataset does not matter.
     """
     counts = pack_dataset(tree, dataset)
     return batch_e_step(tree, [params], counts[:, :, None, :])[0]

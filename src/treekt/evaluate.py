@@ -3,13 +3,12 @@ experiment harness (split burn-in, fit, prequential replay, score)."""
 
 from __future__ import annotations
 
-import io
 import csv
 import json
 from dataclasses import dataclass
-from typing import Sequence
+from types import SimpleNamespace
+from typing import Iterable, Iterator, Sequence
 
-from .model import Parameters
 from .online import (
     ClassroomSession,
     PredictionRecord,
@@ -120,13 +119,19 @@ def metrics_report(
     )
 
 
-def records_to_csv(records: Sequence[PredictionRecord]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["student_id", "question_id", "p_correct", "actual", "seq"])
+def csv_lines(records: Iterable[PredictionRecord]) -> Iterator[str]:
+    """predictions.csv one line at a time: the header, then one per record.
+    The writer's "file" returns what it is given, so writerow returns the
+    line."""
+    writer = csv.writer(SimpleNamespace(write=str), lineterminator="\n")
+    yield writer.writerow(["student_id", "question_id", "p_correct", "actual", "seq"])
     for r in records:
-        writer.writerow([r.student_id, r.question_id, repr(r.p_correct), r.actual, r.seq])
-    return buf.getvalue()
+        yield writer.writerow([r.student_id, r.question_id, repr(r.p_correct),
+                               r.actual, r.seq])
+
+
+def records_to_csv(records: Iterable[PredictionRecord]) -> str:
+    return "".join(csv_lines(records))
 
 
 @dataclass(frozen=True)
@@ -135,8 +140,6 @@ class ExperimentConfig:
     threshold: float = 0.5
     em_tol: float = 1e-6
     em_max_iters: int = 100
-    threads: int = 1
-    update_batch: int | None = 1
 
 
 @dataclass
@@ -150,7 +153,6 @@ def run_experiment(
     tree: ConceptTree,
     stream: Sequence[StreamRecord],
     config: ExperimentConfig = ExperimentConfig(),
-    init: Parameters | None = None,
 ) -> ExperimentResult:
     """Split off per-student burn-in, fit, replay the rest, and score.
     A remainder that cannot be scored fails before the fit."""
@@ -164,11 +166,8 @@ def run_experiment(
     session = burn_in_fit(
         tree,
         burn_in,
-        init=init,
         max_iters=config.em_max_iters,
         tol=config.em_tol,
-        threads=config.threads,
-        update_batch=config.update_batch,
     )
     records = replay(session, remainder)
     return ExperimentResult(

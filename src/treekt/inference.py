@@ -19,7 +19,7 @@ from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .model import Parameters
+from .model import ParameterError, Parameters
 from .tree import ConceptTree, Difficulty, QuestionMeta
 
 #: The (difficulty, correct) cell of each slot on axis 1 of packed counts.
@@ -31,10 +31,6 @@ _CELL_RATE_CORRECT = tuple((list(Difficulty).index(d), c) for d, c in CELL_KEYS)
 
 class InferenceError(ValueError):
     """Raised for observations outside the tree."""
-
-
-class ParameterError(ValueError):
-    """A parameter is missing for a node or lies outside (0, 1)."""
 
 
 @dataclass(frozen=True)
@@ -182,8 +178,9 @@ class LogParameters(NamedTuple):
 
 def _log_column(plan: KernelPlan, params: Parameters) -> np.ndarray:
     """One parameter set in log form, [2V + 12]: log gamma, log(1 - gamma),
-    log_e1 and log_ratio. Probabilities are checked first; the column is
-    built once and kept with the (immutable) parameters."""
+    log_e1 and log_ratio. Every node must have a gamma (Parameters checks
+    the ranges); the column is built once and kept with the (immutable)
+    parameters."""
     cached = params.__dict__.get("_log_column")
     if cached is not None and cached[0] is plan:
         return cached[1]
@@ -192,11 +189,6 @@ def _log_column(plan: KernelPlan, params: Parameters) -> np.ndarray:
     except KeyError as exc:
         raise ParameterError(f"gamma has no value for node {exc.args[0]!r}") from None
     probs += [params.r_easy, params.r_med, params.r_hard, params.epsilon]
-    for i, p in enumerate(probs):
-        if not 0.0 < p < 1.0:
-            names = [f"gamma of node {node!r}" for node in plan.order]
-            names += ["r_easy", "r_med", "r_hard", "epsilon"]
-            raise ParameterError(f"{names[i]} is {p!r}, outside (0, 1)")
     log_p = [math.log(p) for p in probs]
     log_q = [math.log1p(-p) for p in probs]
     v = len(plan.order)
@@ -335,12 +327,11 @@ class Prediction:
 
 
 def posteriors(
-    tree: ConceptTree, params: Parameters, obs: ObservationSet | np.ndarray
+    tree: ConceptTree, params: Parameters, obs: ObservationSet
 ) -> BeliefTable:
-    """Full table for one student (an ObservationSet, or one packed column
-    [V, 6, 1]): marginals, pairwise posteriors, and data log-likelihood."""
-    counts = obs if isinstance(obs, np.ndarray) else pack_counts(tree, [obs])
-    return BeliefTable(batch_posteriors(tree, params, counts))
+    """Full table for one student: marginals, pairwise posteriors, and data
+    log-likelihood."""
+    return BeliefTable(batch_posteriors(tree, params, pack_counts(tree, [obs])))
 
 
 def predict(
@@ -363,10 +354,3 @@ def log_likelihood(
     """Log-probability of the observed responses under the model."""
     return posteriors(tree, params, obs).log_likelihood
 
-
-def mastery_dump(tree: ConceptTree, belief: BeliefTable) -> list[dict]:
-    """Per-node posterior records for external mastery visualizations."""
-    return [
-        {"node_id": node, "posterior": belief.marginal[node]}
-        for node in tree.downward_order()
-    ]

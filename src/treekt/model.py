@@ -8,14 +8,11 @@ class), and a single guessing probability for unmastered concepts.
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass, replace
 from types import MappingProxyType
 from typing import Mapping
 
 from .tree import ConceptTree, Difficulty
-
-logger = logging.getLogger(__name__)
 
 #: All probabilities are kept strictly inside (0,1) to avoid absorbing states.
 PARAM_FLOOR = 1e-6
@@ -29,9 +26,15 @@ DEFAULT_R_HARD = 0.75
 DEFAULT_EPSILON = 0.1
 
 
+class ParameterError(ValueError):
+    """A parameter is missing for a node or lies outside (0, 1)."""
+
+
 @dataclass(frozen=True)
 class Parameters:
-    """Immutable parameter value; updates produce new instances."""
+    """Immutable parameter value; updates produce new instances. Every
+    probability must lie in (0, 1); ParameterError names the one that
+    does not."""
 
     gamma: Mapping[str, float]
     r_easy: float
@@ -41,6 +44,13 @@ class Parameters:
 
     def __post_init__(self):
         object.__setattr__(self, "gamma", MappingProxyType(dict(self.gamma)))
+        bad = [(f"gamma of node {node!r}", p) for node, p in self.gamma.items()
+               if not 0.0 < p < 1.0]
+        bad += [(name, getattr(self, name))
+                for name in ("r_easy", "r_med", "r_hard", "epsilon")
+                if not 0.0 < getattr(self, name) < 1.0]
+        if bad:
+            raise ParameterError("{} is {!r}, outside (0, 1)".format(*bad[0]))
 
     def gamma_of(self, node_id: str) -> float:
         try:
@@ -96,20 +106,6 @@ def default_parameters(tree: ConceptTree) -> Parameters:
 def ordering_satisfied(params: Parameters) -> bool:
     """epsilon < r_hard < r_med < r_easy."""
     return params.epsilon < params.r_hard < params.r_med < params.r_easy
-
-
-def warn_if_unordered(params: Parameters, context: str = "") -> None:
-    """The EM update does not enforce the emission ordering; only watch it."""
-    if not ordering_satisfied(params):
-        logger.warning(
-            "emission ordering epsilon < r_hard < r_med < r_easy violated%s: "
-            "epsilon=%.6g r_hard=%.6g r_med=%.6g r_easy=%.6g",
-            f" ({context})" if context else "",
-            params.epsilon,
-            params.r_hard,
-            params.r_med,
-            params.r_easy,
-        )
 
 
 def clamp_probability(p: float) -> float:

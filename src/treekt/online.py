@@ -23,7 +23,7 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -45,7 +45,7 @@ from .tree import ConceptTree, Difficulty, QuestionMeta
 
 #: Cells (targets x pool columns x nodes) of one slab of one-step updates.
 #: It bounds the memory of a round whatever the pool's size, and, being
-#: fixed, keeps every result independent of --threads.
+#: fixed, keeps every result the same from run to run.
 SLAB_CELLS = 4800
 
 
@@ -150,11 +150,9 @@ def burn_in_fit(
     init: Parameters | None = None,
     max_iters: int = 100,
     tol: float = 1e-6,
-    threads: int = 1,
     update_batch: int | None = 1,
 ) -> ClassroomSession:
-    """Fit the shared model on pooled early interactions, to convergence.
-    threads is accepted and has no effect."""
+    """Fit the shared model on pooled early interactions, to convergence."""
     if not burn_in or not any(burn_in.values()):
         raise ValueError("burn-in data must be non-empty")
     session = ClassroomSession(
@@ -350,9 +348,10 @@ def load_stream(path: str, tree: ConceptTree | None = None) -> list[StreamRecord
         return parse_stream(fh.read(), source=path, tree=tree)
 
 
-def serialize_predictions(records: Iterable[PredictionRecord]) -> str:
-    lines = [
-        json.dumps(
+def prediction_lines(records: Iterable[PredictionRecord]) -> Iterator[str]:
+    """predictions.jsonl one record at a time, each line with its newline."""
+    for r in records:
+        yield json.dumps(
             {
                 "student_id": r.student_id,
                 "question_id": r.question_id,
@@ -361,10 +360,11 @@ def serialize_predictions(records: Iterable[PredictionRecord]) -> str:
                 "seq": r.seq,
             },
             sort_keys=True,
-        )
-        for r in records
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
+        ) + "\n"
+
+
+def serialize_predictions(records: Iterable[PredictionRecord]) -> str:
+    return "".join(prediction_lines(records))
 
 
 def split_burn_in(

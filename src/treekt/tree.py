@@ -331,11 +331,6 @@ def merge_sparse_leaves(
     return ConceptTree(nodes=nodes, root=tree.root), final_remap
 
 
-def traversal_orders(tree: ConceptTree) -> tuple[list[str], list[str]]:
-    """(upward leaves-to-root order, downward root-to-leaves order)."""
-    return tree.upward_order(), tree.downward_order()
-
-
 def parse_questions(
     document: str,
     tree: ConceptTree,
@@ -347,58 +342,58 @@ def parse_questions(
     Records carry question_id, kc_id, and either solve_rate (difficulty is
     derived) or an explicit difficulty. A question appearing with several
     KCs is an error unless keep_most_frequent_kc is set, in which case the
-    KC occurring most often across the whole document is retained.
+    KC occurring most often across the whole document is retained. Every
+    error is a TreeFormatError; one about a single record names its line.
     """
-    rows = _read_records(document)
-    by_question: dict[str, list[dict]] = {}
+    by_question: dict[str, list[tuple[int, dict]]] = {}
     kc_freq: dict[str, int] = {}
-    order: list[str] = []
-    for row in rows:
-        qid = str(row["question_id"])
-        if qid not in by_question:
-            by_question[qid] = []
-            order.append(qid)
-        by_question[qid].append(row)
+    for line, row in _read_records(document):
+        for key in ("question_id", "kc_id"):
+            if row.get(key) in (None, ""):
+                raise TreeFormatError(f"line {line}: question record has no {key}")
+        by_question.setdefault(str(row["question_id"]), []).append((line, row))
         kc = str(row["kc_id"])
         kc_freq[kc] = kc_freq.get(kc, 0) + 1
 
     questions = []
-    for qid in order:
-        variants = by_question[qid]
-        kcs = {str(r["kc_id"]) for r in variants}
+    for qid, variants in by_question.items():
+        kcs = {str(r["kc_id"]) for _, r in variants}
         if len(kcs) > 1:
             if not keep_most_frequent_kc:
                 raise TreeFormatError(
                     f"question {qid!r} labeled with multiple KCs: {sorted(kcs)}"
                 )
             chosen = max(sorted(kcs), key=lambda k: kc_freq[k])
-            variants = [r for r in variants if str(r["kc_id"]) == chosen]
-        row = variants[0]
+            variants = [(n, r) for n, r in variants if str(r["kc_id"]) == chosen]
+        line, row = variants[0]
         kc = str(row["kc_id"])
-        if kc not in tree:
-            raise TreeFormatError(f"question {qid!r} references unknown KC {kc!r}")
-        if not tree.is_leaf(kc):
-            raise TreeFormatError(f"question {qid!r} KC {kc!r} is not a leaf")
+        try:
+            if kc not in tree:
+                raise TreeFormatError(f"question {qid!r} references unknown KC {kc!r}")
+            if not tree.is_leaf(kc):
+                raise TreeFormatError(f"question {qid!r} KC {kc!r} is not a leaf")
 
-        solve_rate = None
-        if row.get("solve_rate") not in (None, ""):
-            solve_rate = float(row["solve_rate"])
-        if row.get("difficulty") not in (None, ""):
-            difficulty = Difficulty(str(row["difficulty"]))
-            if solve_rate is not None:
-                derived = assign_difficulty(solve_rate, thresholds)
-                if derived is not difficulty:
-                    raise TreeFormatError(
-                        f"question {qid!r}: difficulty {difficulty.value!r} "
-                        f"inconsistent with solve_rate {solve_rate} "
-                        f"(bins give {derived.value!r})"
-                    )
-        elif solve_rate is not None:
-            difficulty = assign_difficulty(solve_rate, thresholds)
-        else:
-            raise TreeFormatError(
-                f"question {qid!r} has neither solve_rate nor difficulty"
-            )
+            solve_rate = None
+            if row.get("solve_rate") not in (None, ""):
+                solve_rate = float(row["solve_rate"])
+            if row.get("difficulty") not in (None, ""):
+                difficulty = Difficulty(str(row["difficulty"]))
+                if solve_rate is not None:
+                    derived = assign_difficulty(solve_rate, thresholds)
+                    if derived is not difficulty:
+                        raise TreeFormatError(
+                            f"question {qid!r}: difficulty {difficulty.value!r} "
+                            f"inconsistent with solve_rate {solve_rate} "
+                            f"(bins give {derived.value!r})"
+                        )
+            elif solve_rate is not None:
+                difficulty = assign_difficulty(solve_rate, thresholds)
+            else:
+                raise TreeFormatError(
+                    f"question {qid!r} has neither solve_rate nor difficulty"
+                )
+        except (ValueError, TypeError, OverflowError) as exc:
+            raise TreeFormatError(f"line {line}: {exc}") from exc
         questions.append(QuestionMeta(qid, kc, difficulty, solve_rate))
     return questions
 
@@ -423,22 +418,26 @@ def serialize_questions(questions: Iterable[QuestionMeta]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _read_records(document: str) -> list[dict]:
+def _read_records(document: str) -> list[tuple[int, dict]]:
+    """(line number, record) for each record of a JSON-lines or CSV text."""
     stripped = document.strip()
     if not stripped:
         return []
     if stripped[0] == "{":
         records = []
-        for i, line in enumerate(stripped.splitlines()):
+        for i, line in enumerate(document.splitlines(), start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                records.append(json.loads(line))
+                record = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise TreeFormatError(f"bad JSON on line {i + 1}: {exc}") from exc
+                raise TreeFormatError(f"bad JSON on line {i}: {exc}") from exc
+            if not isinstance(record, dict):
+                raise TreeFormatError(f"line {i}: a question record must be an object")
+            records.append((i, record))
         return records
     reader = csv.DictReader(io.StringIO(document))
     if reader.fieldnames is None or "question_id" not in reader.fieldnames:
         raise TreeFormatError("question CSV must have a question_id column")
-    return list(reader)
+    return [(reader.line_num, row) for row in reader]

@@ -1,8 +1,6 @@
-import logging
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from treekt import (
     ConceptTree,
@@ -14,18 +12,6 @@ from treekt import (
 )
 
 DATA_DIR = Path(__file__).parent / "data"
-
-
-@pytest.fixture(autouse=True)
-def quiet_ordering_warnings():
-    # Small-data fits trip the emission-ordering diagnostic constantly;
-    # keep test output readable. Tests that assert on the warning lower
-    # the level again via caplog.at_level.
-    logger = logging.getLogger("treekt.model")
-    previous = logger.level
-    logger.setLevel(logging.ERROR)
-    yield
-    logger.setLevel(previous)
 
 
 def chain_tree(n: int) -> ConceptTree:

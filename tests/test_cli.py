@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -10,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from treekt import default_parameters, load_tree, serialize_tree
 from treekt.cli import main
-from treekt.online import serialize_stream
+from treekt.evaluate import ExperimentConfig, records_to_csv, run_experiment
+from treekt.online import load_stream, serialize_predictions, serialize_stream
 from treekt.simulate import (
     SimConfig,
     generate_classroom,
@@ -138,6 +140,19 @@ class TestFitAndEval:
         assert (out / "predictions.jsonl").exists()
         assert (out / "predictions.csv").exists()
         assert "AUC" in capsys.readouterr().out
+
+    def test_eval_files_equal_the_joined_serializers(self, tmp_path):
+        sim = simulate_into(tmp_path)
+        out = tmp_path / "eval"
+        assert main(["eval", "--tree", str(sim / "tree.json"),
+                     "--stream", str(sim / "stream.jsonl"),
+                     "--out", str(out), "--burn-in", "4", "--tol", "1e-4"]) == 0
+        tree = load_tree(str(sim / "tree.json"))
+        records = run_experiment(tree, load_stream(str(sim / "stream.jsonl"), tree),
+                                 ExperimentConfig(burn_in_count=4, em_tol=1e-4)).records
+        assert (out / "predictions.jsonl").read_bytes() == \
+            serialize_predictions(records).encode()
+        assert (out / "predictions.csv").read_bytes() == records_to_csv(records).encode()
 
     @pytest.mark.parametrize("command", ["fit", "eval"])
     @pytest.mark.parametrize("difficulty", [None, "weird"])
@@ -285,7 +300,7 @@ class TestStreamKC:
         def unreachable(*args, **kwargs):
             raise AssertionError("fitting started")
 
-        monkeypatch.setattr("treekt.cli.fit", unreachable)
+        monkeypatch.setattr("treekt.cli.burn_in_fit", unreachable)
         monkeypatch.setattr("treekt.evaluate.burn_in_fit", unreachable)
         code = main([command, "--tree", str(sim / "tree.json"), "--stream", str(stream),
                      "--out", str(tmp_path / "out")]
@@ -361,3 +376,57 @@ class TestStreamFuzz:
         assert code in (1, 2)
         assert f"{stream}:{index + 1}:" in err.getvalue()
         assert "Traceback" not in err.getvalue()
+
+
+def _tree_mutations():
+    """(node index, (kind, argument)) for one entry of the fuzzed tree
+    document; every mutation breaks the tree: drop the id, give a field a
+    value of the wrong JSON type, point the parent at no node, make a second
+    root, repeat the next node's id, or replace the entry."""
+    wrong = {
+        "id": [7, None, 1.5, True, ["a"], {}],
+        "label": [7, None, False, ["a"], {"a": 1}],
+        "parent": [7, 2.5, True, ["root"], {}],
+    }
+    return st.tuples(st.integers(0, 5), st.one_of(
+        st.tuples(st.just("drop"), st.just("id")),
+        st.sampled_from(sorted(wrong)).flatmap(
+            lambda f: st.tuples(st.just("type"), st.tuples(st.just(f), st.sampled_from(wrong[f])))),
+        st.tuples(st.just("dangling"), st.none()),
+        st.tuples(st.just("second_root"), st.none()),
+        st.tuples(st.just("repeat"), st.none()),
+        st.tuples(st.just("entry"), st.sampled_from(["a", 3, None, [], True]))))
+
+
+class TestTreeFuzz:
+    @settings(max_examples=60, deadline=None)
+    @given(mutation=_tree_mutations(), command=st.sampled_from(["validate-tree", "fit"]))
+    def test_mutated_entry_fails_cleanly(self, mutation, command):
+        nodes = json.loads(serialize_tree(random_tree(np.random.default_rng(0), 6)))["nodes"]
+        index, (kind, arg) = mutation
+        if kind == "drop":
+            del nodes[index][arg]
+        elif kind == "type":
+            nodes[index][arg[0]] = arg[1]
+        elif kind == "dangling":
+            nodes[index]["parent"] = "no_such_node"
+        elif kind == "second_root":
+            del nodes[index if "parent" in nodes[index] else index - 1]["parent"]
+        elif kind == "repeat":
+            nodes[index]["id"] = nodes[(index + 1) % len(nodes)]["id"]
+        else:
+            nodes[index] = arg
+        with tempfile.TemporaryDirectory() as tmp:
+            tree, stream = Path(tmp) / "tree.json", Path(tmp) / "stream.jsonl"
+            tree.write_text(json.dumps({"nodes": nodes}))
+            stream.write_text("")
+            argv = [command, "--tree", str(tree)]
+            if command == "fit":
+                argv += ["--stream", str(stream), "--out", str(Path(tmp) / "out")]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        assert code in (1, 2)
+        output = out.getvalue() + err.getvalue()
+        assert re.match(rf"(violation|error): {re.escape(str(tree))}: ", output), output
+        assert "Traceback" not in output

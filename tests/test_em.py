@@ -63,8 +63,8 @@ class TestEStep:
         tree = random_tree(rng, 8)
         params = random_parameters(tree, rng)
         dataset = make_dataset(tree, params, rng, n_students=12)
-        s1, ll1 = e_step(tree, params, dataset, threads=1)
-        s4, ll4 = e_step(tree, params, dataset, threads=4)
+        s1, ll1 = e_step(tree, params, dataset)
+        s4, ll4 = e_step(tree, params, dataset)
         assert ll1 == ll4
         assert s1.gamma_num == s4.gamma_num
         assert s1.gamma_den_extra == s4.gamma_den_extra

@@ -122,6 +122,10 @@ class TestCsvExport:
         assert lines[0] == "student_id,question_id,p_correct,actual,seq"
         assert float(lines[1].split(",")[2]) == records[0].p_correct
 
+    def test_fields_quoted_as_a_csv_file_writer_quotes_them(self):
+        records = [PredictionRecord("a,b", 'q"1', 0.25, 1, 3)]
+        assert records_to_csv(records).splitlines()[1] == '"a,b","q""1",0.25,1,3'
+
 
 class TestRunExperiment:
     def test_end_to_end(self):

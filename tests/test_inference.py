@@ -21,7 +21,6 @@ from treekt.inference import (
     ParameterError,
     batch_posteriors,
     kernel_plan,
-    mastery_dump,
     pack_counts,
 )
 from treekt.simulate import random_tree
@@ -430,11 +429,3 @@ class TestPredict:
         with pytest.raises(InferenceError, match="unknown KC"):
             predict(params, belief, QuestionMeta("q", "ghost", Difficulty.EASY))
 
-
-def test_mastery_dump_covers_all_nodes():
-    tree = chain_tree(3)
-    params = random_parameters(tree, np.random.default_rng(49))
-    belief = posteriors(tree, params, observation_set(tree, []))
-    dump = mastery_dump(tree, belief)
-    assert [d["node_id"] for d in dump] == tree.downward_order()
-    assert all(0.0 <= d["posterior"] <= 1.0 for d in dump)

@@ -1,4 +1,4 @@
-import logging
+import json
 
 import numpy as np
 import pytest
@@ -14,9 +14,9 @@ from treekt.model import (
     DEFAULT_R_MED,
     EPSILON_CAP,
     PARAM_FLOOR,
+    ParameterError,
     clamp_probability,
     ordering_satisfied,
-    warn_if_unordered,
 )
 
 from conftest import chain_tree, random_parameters
@@ -76,21 +76,31 @@ class TestParameters:
         assert updated.gamma["n0"] == 0.4
         assert updated.r_easy == params.r_easy
 
+    @pytest.mark.parametrize("name, value, message", [
+        ("gamma", 1.0, "gamma of node 'n1' is 1.0, outside (0, 1)"),
+        ("r_hard", float("nan"), "r_hard is nan, outside (0, 1)"),
+        ("epsilon", 0.0, "epsilon is 0.0, outside (0, 1)"),
+    ])
+    def test_out_of_range_rejected_at_construction(self, name, value, message):
+        fields = dict(gamma={"n0": 0.1, "n1": 0.3}, r_easy=0.9, r_med=0.8,
+                      r_hard=0.7, epsilon=0.1)
+        if name == "gamma":
+            fields["gamma"] = {"n0": 0.1, "n1": value}
+        else:
+            fields[name] = value
+        with pytest.raises(ParameterError) as exc:
+            Parameters(**fields)
+        assert str(exc.value) == message
+        doc = json.dumps(fields)  # NaN is written as the JSON extension NaN
+        with pytest.raises(ParameterError) as exc:
+            Parameters.from_json(doc)
+        assert str(exc.value) == message
+
 
 class TestOrdering:
     def test_violation_detected(self):
         assert not ordering_satisfied(make_params(epsilon=0.76))
         assert not ordering_satisfied(make_params(r_hard=0.85))
-
-    def test_warning_emitted_once_violated(self, caplog):
-        with caplog.at_level(logging.WARNING, logger="treekt.model"):
-            warn_if_unordered(make_params(epsilon=0.76), context="test")
-        assert any("ordering" in r.message for r in caplog.records)
-
-    def test_no_warning_when_ordered(self, caplog):
-        with caplog.at_level(logging.WARNING, logger="treekt.model"):
-            warn_if_unordered(make_params())
-        assert not caplog.records
 
 
 class TestClamp:

@@ -1,8 +1,10 @@
+import csv
+import io
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treekt import (
@@ -16,7 +18,6 @@ from treekt import (
     parse_questions,
     parse_tree,
     serialize_tree,
-    traversal_orders,
     validate_tree,
 )
 from treekt.simulate import random_tree
@@ -208,23 +209,25 @@ class TestMergeSparseLeaves:
 
 class TestTraversalOrders:
     def test_chain(self):
-        up, down = traversal_orders(chain_tree(3))
+        tree = chain_tree(3)
+        up, down = tree.upward_order(), tree.downward_order()
         assert up == ["n2", "n1", "n0"]
         assert down == ["n0", "n1", "n2"]
 
     def test_single_node(self):
-        up, down = traversal_orders(single_node_tree())
+        tree = single_node_tree()
+        up, down = tree.upward_order(), tree.downward_order()
         assert up == ["only"] and down == ["only"]
 
     def test_star_downward_starts_at_root(self):
-        _, down = traversal_orders(star_tree(3))
+        down = star_tree(3).downward_order()
         assert down[0] == "root"
 
     def test_orders_are_consistent_permutations(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             tree = random_tree(rng, int(rng.integers(1, 40)))
-            up, down = traversal_orders(tree)
+            up, down = tree.upward_order(), tree.downward_order()
             assert sorted(up) == sorted(tree.nodes) == sorted(down)
             pos = {n: i for i, n in enumerate(up)}
             for node in tree.nodes:
@@ -273,3 +276,91 @@ class TestParseQuestions:
             parse_questions(text, self.TREE)
         questions = parse_questions(text, self.TREE, keep_most_frequent_kc=True)
         assert [q.kc for q in questions] == ["C", "C"]
+
+
+class TestQuestionFileErrors:
+    TREE = TestParseQuestions.TREE
+    FIRST = '{"question_id": "q1", "kc_id": "C", "difficulty": "easy"}\n\n'
+
+    @pytest.mark.parametrize("record, needle", [
+        ({"question_id": "q2", "difficulty": "easy"}, "question record has no kc_id"),
+        ({"kc_id": "B", "difficulty": "easy"}, "question record has no question_id"),
+        ({"question_id": "q2", "kc_id": "B", "solve_rate": "abc"}, "'abc'"),
+        ({"question_id": "q2", "kc_id": "B", "solve_rate": 1.5}, "solve_rate out of [0,1]"),
+        ({"question_id": "q2", "kc_id": "B", "solve_rate": [0.5]}, "float()"),
+        ({"question_id": "q2", "kc_id": "B", "difficulty": "weird"}, "'weird'"),
+        ({"question_id": "q2", "kc_id": "A", "difficulty": "easy"}, "not a leaf"),
+        (["q2", "B", "easy"], "must be an object"),
+    ])
+    def test_bad_jsonl_record_names_its_line(self, record, needle):
+        with pytest.raises(TreeFormatError) as exc:
+            parse_questions(self.FIRST + json.dumps(record) + "\n", self.TREE)
+        assert str(exc.value).startswith("line 3: ")
+        assert needle in str(exc.value)
+
+    @pytest.mark.parametrize("text, needle", [
+        ("question_id,kc_id,solve_rate\nq1,B,0.8\nq2,C,abc\n", "line 3: "),
+        ("question_id,kc_id,difficulty\nq1,B,easy\nq2,C,weird\n", "line 3: "),
+        ("question_id,difficulty\nq1,easy\n", "line 2: question record has no kc_id"),
+        ("question_id,kc_id,difficulty\nq1,B,easy\nq2\n", "line 3: question record has no kc_id"),
+    ])
+    def test_bad_csv_record_names_its_line(self, text, needle):
+        with pytest.raises(TreeFormatError) as exc:
+            parse_questions(text, self.TREE)
+        assert str(exc.value).startswith(needle)
+
+
+QUESTION_FIELDS = ["question_id", "kc_id", "solve_rate", "difficulty"]
+QUESTION_RECORDS = [
+    {"question_id": "q1", "kc_id": "B", "solve_rate": 0.8},
+    {"question_id": "q2", "kc_id": "C", "difficulty": "hard"},
+    {"question_id": "q3", "kc_id": "B", "solve_rate": 0.6, "difficulty": "medium"},
+    {"question_id": "q4", "kc_id": "C", "solve_rate": 0.1, "difficulty": "hard"},
+]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=2),
+    max_leaves=4)
+
+
+def _question_mutations():
+    """(record index, (kind, argument)): drop a key, give a field any JSON
+    value, repeat another record's question_id, or replace the record."""
+    return st.tuples(st.integers(0, len(QUESTION_RECORDS) - 1), st.one_of(
+        st.tuples(st.just("drop"), st.sampled_from(QUESTION_FIELDS)),
+        st.tuples(st.just("type"), st.tuples(st.sampled_from(QUESTION_FIELDS), JSON_VALUES)),
+        st.tuples(st.just("repeat"), st.integers(0, len(QUESTION_RECORDS) - 1)),
+        st.tuples(st.just("entry"), JSON_VALUES)))
+
+
+class TestQuestionFuzz:
+    TREE = TestParseQuestions.TREE
+
+    @settings(max_examples=150, deadline=None)
+    @given(mutation=_question_mutations(), as_csv=st.booleans())
+    def test_mutated_record_raises_only_tree_format_error(self, mutation, as_csv):
+        records = [dict(r) for r in QUESTION_RECORDS]
+        index, (kind, arg) = mutation
+        if kind == "drop":
+            records[index].pop(arg, None)
+        elif kind == "type":
+            records[index][arg[0]] = arg[1]
+        elif kind == "repeat":
+            records[index]["question_id"] = records[arg]["question_id"]
+        else:
+            records[index] = arg
+        if as_csv:
+            buf = io.StringIO()
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerow(QUESTION_FIELDS)
+            for r in records:
+                writer.writerow([r.get(f, "") for f in QUESTION_FIELDS]
+                                if isinstance(r, dict) else [r])
+            text = buf.getvalue()
+        else:
+            text = "".join(json.dumps(r) + "\n" for r in records)
+        try:
+            parse_questions(text, self.TREE)
+        except TreeFormatError:
+            pass

@@ -52,6 +52,12 @@ class Parameters:
         if bad:
             raise ParameterError("{} is {!r}, outside (0, 1)".format(*bad[0]))
 
+    def check_tree(self, tree: ConceptTree) -> None:
+        """Raise ParameterError naming the first node of tree with no gamma."""
+        for node in tree.nodes:
+            if node not in self.gamma:
+                raise ParameterError(f"gamma has no value for node {node!r}")
+
     def gamma_of(self, node_id: str) -> float:
         try:
             return self.gamma[node_id]

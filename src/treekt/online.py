@@ -88,7 +88,8 @@ class ClassroomSession:
 
     update_batch controls how many new responses accumulate before a
     one-step EM refresh (1 = after every response); None freezes parameters,
-    which is how a ground-truth model is scored on a stream.
+    which is how a ground-truth model is scored on a stream. A theta_init
+    with no gamma for some node of the tree raises ParameterError here.
     """
 
     tree: ConceptTree
@@ -97,6 +98,9 @@ class ClassroomSession:
     fit_report: FitReport | None = None
     students: dict[str, StudentModel] = field(default_factory=dict)
     update_batch: int | None = 1
+
+    def __post_init__(self):
+        self.theta_init.check_tree(self.tree)
 
     def student_history(self, student_id: str) -> list[Interaction]:
         """Burn-in plus post-burn-in responses; the conditioning set."""
@@ -152,7 +156,8 @@ def burn_in_fit(
     tol: float = 1e-6,
     update_batch: int | None = 1,
 ) -> ClassroomSession:
-    """Fit the shared model on pooled early interactions, to convergence."""
+    """Fit the shared model on pooled early interactions, to convergence.
+    An init that misses a node's gamma raises ParameterError before the fit."""
     if not burn_in or not any(burn_in.values()):
         raise ValueError("burn-in data must be non-empty")
     session = ClassroomSession(

@@ -11,9 +11,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 
 class TreeFormatError(ValueError):
@@ -188,15 +189,22 @@ def serialize_tree(tree: ConceptTree) -> str:
     return json.dumps({"nodes": nodes}, indent=2, sort_keys=False) + "\n"
 
 
+@contextmanager
+def _named(path: str) -> Iterator[None]:
+    """Put the path in front of every TreeFormatError raised inside."""
+    try:
+        yield
+    except TreeFormatError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
 def load_tree(path: str) -> ConceptTree:
     """parse_tree on a file; every TreeFormatError starts with the path."""
     with open(path, encoding="utf-8") as fh:
         document = fh.read()
-    try:
+    with _named(path):
         return parse_tree(document)
-    except TreeFormatError as exc:
-        exc.args = (f"{path}: {exc}",)
-        raise
 
 
 def validate_tree(tree: ConceptTree) -> ValidationReport:
@@ -399,8 +407,11 @@ def parse_questions(
 
 
 def load_questions(path: str, tree: ConceptTree, **kwargs) -> list[QuestionMeta]:
+    """parse_questions on a file; every TreeFormatError starts with the path."""
     with open(path, encoding="utf-8") as fh:
-        return parse_questions(fh.read(), tree, **kwargs)
+        document = fh.read()
+    with _named(path):
+        return parse_questions(document, tree, **kwargs)
 
 
 def serialize_questions(questions: Iterable[QuestionMeta]) -> str:

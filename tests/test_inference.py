@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -22,7 +23,10 @@ from treekt.inference import (
     batch_posteriors,
     kernel_plan,
     pack_counts,
+    _NARROW,
+    _path_schedule,
 )
+from treekt.model import emission_prob, transition_prob
 from treekt.simulate import random_tree
 from treekt.tree import QuestionMeta
 
@@ -199,8 +203,9 @@ class TestBatchKernel:
         rng = np.random.default_rng(n_nodes)
         tree = shaped_tree(shape, n_nodes, rng)
         params = random_parameters(tree, rng)
+        # A batch this wide runs plan.levels, each column alone plan.upward.
         counts = pack_counts(
-            tree, [random_observations(tree, rng, max_obs=60) for _ in range(9)]
+            tree, [random_observations(tree, rng, max_obs=60) for _ in range(_NARROW + 4)]
         )
         batch = batch_posteriors(tree, params, counts)
         for s in range(counts.shape[2]):
@@ -217,10 +222,11 @@ def chain_oracle(depth, params, interactions):
     n_{depth-1}: depth + 1 states, j = depth being "nothing mastered".
     Responses are all on the leaf n_{depth-1}, mastered unless j = depth.
     Returns (marginals, pairwise cells by node index, log-likelihood)."""
-    log_e = [0.0, 0.0]  # log P(responses | leaf unmastered / mastered)
+    terms = [[], []]  # log P(response | leaf unmastered / mastered)
     for it in interactions:
         for mastered, p in enumerate((params.epsilon, params.phi(it.difficulty))):
-            log_e[mastered] += math.log(p if it.correct else 1.0 - p)
+            terms[mastered].append(math.log(p if it.correct else 1.0 - p))
+    log_e = [math.fsum(t) for t in terms]
     log_w, prefix = [], 0.0  # prefix: log P(n_0 .. n_{j-1} all unmastered)
     for j in range(depth):
         gamma = params.gamma[f"n{j}"]
@@ -276,6 +282,139 @@ class TestDeepChains:
         child = np.arange(1, len(plan.order))
         # Every edge, so every root-to-leaf path; exact, not within a tolerance.
         assert np.all(result.marginal[child] >= result.marginal[plan.parent[child]])
+
+
+def log_enumeration(tree, params, obs):
+    """Exact posteriors of a small tree by enumerating every hidden
+    configuration in the log domain (brute_force_posteriors multiplies
+    probabilities, which underflow under thousands of responses). Returns
+    (marginals, pairwise cells, log-likelihood) like brute_force_posteriors."""
+    nodes = list(tree.nodes)
+    weights = []
+    for states in itertools.product((0, 1), repeat=len(nodes)):
+        state = dict(zip(nodes, states))
+        probs = [transition_prob(params, n, state[n],
+                                 None if n == tree.root else state[tree.parent(n)])
+                 for n in nodes]
+        if 0.0 in probs:
+            continue
+        terms = [math.log(p) for p in probs]
+        for node, node_counts in obs.counts.items():
+            for (difficulty, correct), n in node_counts.items():
+                terms.append(n * math.log(emission_prob(params, difficulty, correct,
+                                                        state[node])))
+        weights.append((state, math.fsum(terms)))
+    top = max(w for _, w in weights)
+    log_z = top + math.log(math.fsum(math.exp(w - top) for _, w in weights))
+    posterior = [(state, math.exp(w - log_z)) for state, w in weights]
+    marginal = {n: math.fsum(p for s, p in posterior if s[n]) for n in nodes}
+    pairwise = {n: {(a, b): math.fsum(p for s, p in posterior
+                                      if (s[n], s[tree.parent(n)]) == (a, b))
+                    for a in (0, 1) for b in (0, 1)}
+                for n in nodes if n != tree.root}
+    return marginal, pairwise, log_z
+
+
+class TestFarOutOfRange:
+    """Thousands of responses at the deepest leaf put the messages along its
+    heavy path near +-1e4, where exp of a raw message overflows."""
+
+    @staticmethod
+    def histories(leaf):
+        return [
+            [Interaction(f"w{i}", leaf, Difficulty.EASY, 0) for i in range(5000)],
+            [Interaction(f"c{i}", leaf, Difficulty.EASY, 1) for i in range(5000)],
+            [Interaction(f"m{i}", leaf, Difficulty.EASY, i % 2) for i in range(3000)]
+            + [Interaction(f"h{i}", leaf, Difficulty.HARD, 0) for i in range(3000)],
+        ]
+
+    @staticmethod
+    def assert_finite(result):
+        for values in (result.marginal, result.cells, result.log_likelihood):
+            assert np.all(np.isfinite(values))
+
+    @pytest.mark.parametrize("depth", [5, 101])
+    def test_chain_matches_state_enumeration(self, depth):
+        tree = chain_tree(depth)
+        params = random_parameters(tree, np.random.default_rng(depth))
+        histories = self.histories(f"n{depth - 1}")
+        log_ratio = math.log(1 - params.epsilon) - math.log(1 - params.r_easy)
+        assert 5000 * log_ratio > 1000  # exp of the leaf's message overflows
+        result = batch_posteriors(tree, params, pack_counts(tree, histories))
+        self.assert_finite(result)
+        for column, history in enumerate(histories):
+            marginal, cells, log_z = chain_oracle(depth, params, history)
+            belief = BeliefTable(result, column)
+            assert abs(belief.log_likelihood - log_z) <= 1e-10
+            for i in range(depth):
+                assert abs(belief.marginal[f"n{i}"] - marginal[i]) <= 1e-10
+                if i:
+                    pair = belief.pairwise[f"n{i}"]
+                    got = (pair[(0, 0)], pair[(1, 0)], pair[(1, 1)])
+                    assert max(map(abs, np.subtract(got, cells[i]))) <= 1e-10
+
+    def test_caterpillar_matches_log_enumeration(self):
+        tree = caterpillar_tree(6)
+        plan = kernel_plan(tree)
+        assert len(plan.upward) < len(plan.levels)  # heavy-path contraction
+        params = random_parameters(tree, np.random.default_rng(6))
+        histories = self.histories("l5")
+        result = batch_posteriors(tree, params, pack_counts(tree, histories))
+        self.assert_finite(result)
+        for column, history in enumerate(histories):
+            marginal, pairwise, log_z = log_enumeration(
+                tree, params, observation_set(tree, history))
+            belief = BeliefTable(result, column)
+            assert abs(belief.log_likelihood - log_z) <= 1e-10
+            for node in tree.nodes:
+                assert abs(belief.marginal[node] - marginal[node]) <= 1e-10
+                if node != tree.root:
+                    for cell, value in pairwise[node].items():
+                        assert abs(belief.pairwise[node][cell] - value) <= 1e-10
+
+
+class TestUpwardSchedule:
+    def test_caterpillar_contracts_in_log_depth_steps(self):
+        plan = kernel_plan(caterpillar_tree(100))
+        assert len(plan.levels) == 101
+        assert len(plan.upward) <= 2 * math.ceil(math.log2(101)) + 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.sampled_from(["random", "chain", "star", "caterpillar"]),
+        n_nodes=st.integers(2, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_contraction_on_any_tree_matches_enumeration(self, shape, n_nodes, seed):
+        # Run every tree through heavy-path contraction, also trees where
+        # the plan keeps levels: paths of mixed lengths per round, several
+        # light children per parent.
+        rng = np.random.default_rng(seed)
+        tree = shaped_tree(shape, n_nodes, rng)
+        plan = kernel_plan(tree)
+        plan.upward, plan.work = _path_schedule(plan.parent)
+        params = random_parameters(tree, rng)
+        sets = [random_observations(tree, rng) for _ in range(3)]
+        result = batch_posteriors(tree, params, pack_counts(tree, sets))
+        for column, obs in enumerate(sets):
+            belief = BeliefTable(result, column)
+            oracle = brute_force_posteriors(tree, params, obs)
+            assert abs(belief.log_likelihood - oracle.log_likelihood) <= 1e-10
+            for node in tree.nodes:
+                assert abs(belief.marginal[node] - oracle.marginal[node]) <= 1e-10
+                if node != tree.root:
+                    for cell, value in oracle.pairwise[node].items():
+                        assert abs(belief.pairwise[node][cell] - value) <= 1e-10
+
+    @pytest.mark.parametrize("tree", [
+        *(star_tree(n) for n in (1, 5, 24)),
+        *(random_tree(np.random.default_rng(seed), n)
+          for n in (12, 60) for seed in range(10)),
+    ])
+    def test_shallow_trees_take_no_more_steps_than_levels(self, tree):
+        plan = kernel_plan(tree)
+        assert len(plan.levels) == tree.depth()
+        assert len(plan.upward) <= len(plan.levels)
 
 
 class TestSlotPacker:

@@ -7,6 +7,7 @@ from treekt import (
     ClassroomSession,
     Difficulty,
     Interaction,
+    Parameters,
     PredictionRecord,
     StreamRecord,
     StudentObservations,
@@ -21,6 +22,7 @@ from treekt import (
     replay,
     split_burn_in,
 )
+from treekt.model import ParameterError
 from treekt.online import (
     StreamFormatError,
     parse_stream,
@@ -35,7 +37,7 @@ from treekt.simulate import (
 )
 from treekt.tree import QuestionMeta
 
-from conftest import caterpillar_tree, random_parameters
+from conftest import caterpillar_tree, random_parameters, star_tree
 
 
 def small_classroom(seed=0, n_students=6, n_interactions=12, n_nodes=6):
@@ -104,6 +106,20 @@ class TestSessionLifecycle:
             burn_in_fit(tree, {})
         with pytest.raises(ValueError):
             burn_in_fit(tree, {"s0": []})
+
+    def test_gamma_map_missing_a_node_fails_at_construction(self, monkeypatch):
+        import treekt.online
+
+        tree = star_tree(2)
+        partial = Parameters(gamma={"root": 0.2, "l0": 0.3}, r_easy=0.9,
+                             r_med=0.8, r_hard=0.7, epsilon=0.1)
+        with pytest.raises(ParameterError, match="'l1'"):
+            ClassroomSession(tree=tree, burn_in={}, theta_init=partial)
+        # burn_in_fit fails before the fit starts.
+        monkeypatch.setattr(treekt.online, "fit", None)
+        burn_in = {"s0": [Interaction("q", "l0", Difficulty.EASY, 1)]}
+        with pytest.raises(ParameterError, match="'l1'"):
+            burn_in_fit(tree, burn_in, init=partial)
 
     def test_burn_in_fit_matches_direct_fit(self):
         from treekt import fit

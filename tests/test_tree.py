@@ -13,6 +13,7 @@ from treekt import (
     Difficulty,
     TreeFormatError,
     assign_difficulty,
+    load_questions,
     load_tree,
     merge_sparse_leaves,
     parse_questions,
@@ -308,6 +309,15 @@ class TestQuestionFileErrors:
         with pytest.raises(TreeFormatError) as exc:
             parse_questions(text, self.TREE)
         assert str(exc.value).startswith(needle)
+
+    def test_load_questions_starts_every_error_with_the_path(self, tmp_path):
+        path = tmp_path / "questions.jsonl"
+        path.write_text(self.FIRST + json.dumps({"question_id": "q2"}) + "\n",
+                        encoding="utf-8")
+        with pytest.raises(TreeFormatError) as exc:
+            load_questions(str(path), self.TREE)
+        assert str(exc.value).startswith(f"{path}: line 3: ")
+        assert "question record has no kc_id" in str(exc.value)
 
 
 QUESTION_FIELDS = ["question_id", "kc_id", "solve_rate", "difficulty"]

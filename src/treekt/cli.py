@@ -52,16 +52,26 @@ _DEFAULTS = {
 }
 
 
-def _layered_value(name: str, flag_value, config: dict, caster):
+class OptionError(ValueError):
+    """A --config line or TREEKT_* variable holds a value that cannot be
+    read; the message names the key and where it came from."""
+
+
+def _layered_value(name: str, flag_value, config: dict, config_path, caster):
     """flags > config file > environment > defaults."""
     if flag_value is not None:
         return flag_value
+    env_name = ENV_PREFIX + name.upper()
     if name in config:
-        return caster(config[name])
-    env = os.environ.get(ENV_PREFIX + name.upper())
-    if env is not None:
-        return caster(env)
-    return _DEFAULTS[name]
+        raw, source = config[name], f"{config_path}: {name}"
+    elif env_name in os.environ:
+        raw, source = os.environ[env_name], env_name
+    else:
+        return _DEFAULTS[name]
+    try:
+        return caster(raw)
+    except ValueError as exc:
+        raise OptionError(f"{source}: {exc}") from None
 
 
 def _read_config(path: str | None) -> dict:
@@ -78,14 +88,19 @@ def _read_config(path: str | None) -> dict:
 
 
 def _resolve(args: argparse.Namespace) -> argparse.Namespace:
-    config = _read_config(getattr(args, "config", None))
+    config_path = getattr(args, "config", None)
+    config = _read_config(config_path)
     casters = {
         "burn_in": int, "tol": float, "max_iters": int, "seed": int,
         "threshold": float,
     }
     for name, caster in casters.items():
         if hasattr(args, name):
-            setattr(args, name, _layered_value(name, getattr(args, name), config, caster))
+            setattr(args, name, _layered_value(name, getattr(args, name), config,
+                                               config_path, caster))
+    # EM reports on at least one iteration; refuse fewer before any work.
+    if getattr(args, "max_iters", 1) < 1:
+        raise ValueError(f"--max-iters {args.max_iters}: EM needs at least one iteration")
     return args
 
 
@@ -289,7 +304,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _resolve(args)
         return args.func(args)
-    except (OSError, json.JSONDecodeError, TreeFormatError, StreamFormatError) as exc:
+    except (OSError, json.JSONDecodeError, TreeFormatError, StreamFormatError,
+            OptionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -1,10 +1,15 @@
 """EM parameter estimation with closed-form updates.
 
-The E-step sums the kernel's output over the student axis into a few
-accumulators, for one target dataset or for many at once, each at its own
-parameters; the M-step turns those into new parameters by simple ratios.
-Every update keeps the guessing probability capped and all probabilities
-strictly inside (0,1), which preserves the EM monotonicity guarantee.
+θ travels as float columns in the kernel plan's node order, [V + 4]: γ of
+each node, then r_easy, r_med, r_hard and ε (model.Parameters.column); a
+block [V + 4, T] holds T targets, and inference.log_form gives the kernel
+their log form. The E-step sums the kernel's output over the student axis
+into accumulator arrays over the target axis, each target at its own θ;
+the M-step turns them into a new θ block by simple ratios, in numpy
+expressions over the block. Every update keeps the guessing probability
+capped and all probabilities strictly inside (0,1), which preserves the EM
+monotonicity guarantee. The one-target API (SufficientStats, e_step,
+m_step, one_step_update, fit) is the block path with T = 1.
 """
 
 from __future__ import annotations
@@ -12,18 +17,20 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .inference import (
     CELL_KEYS,
+    BatchPosteriors,
     ObservationSet,
     batch_posteriors,
-    log_parameters,
+    kernel_plan,
+    log_form,
     pack_counts,
 )
-from .model import EPSILON_CAP, Parameters, clamp_probability, ordering_satisfied
+from .model import EPSILON_CAP, ParameterError, Parameters, clamp_probability
 from .tree import ConceptTree, Difficulty
 
 logger = logging.getLogger(__name__)
@@ -47,7 +54,9 @@ def pack_dataset(
 
 @dataclass
 class SufficientStats:
-    """Posterior accumulators summed over students.
+    """Posterior accumulators summed over students: one target's
+    Accumulators by node id and difficulty, as e_step gives and m_step
+    takes them.
 
     gamma_num[c] collects mass on (child mastered, parent not); the extra
     denominator term collects (child not, parent not). root_num collects the
@@ -86,42 +95,107 @@ class FitReport:
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+class Accumulators(NamedTuple):
+    """The E-step sums of T targets, each over its S students.
+
+    unmastered and mastered [T, 6] weight each CELL_KEYS cell's counts by
+    P(node unmastered) and P(node mastered); pair [2, V, T] sums the
+    (child, parent) cells (0, 0) and (1, 0) per node; root [T] sums the
+    root's mastery marginal. ll [T], the data log-likelihood, is summed
+    from the kernel's output when read, which replay never does.
+    """
+
+    unmastered: np.ndarray
+    mastered: np.ndarray
+    pair: np.ndarray
+    root: np.ndarray
+    n_students: int
+    post: BatchPosteriors | None = None
+
+    @property
+    def ll(self) -> np.ndarray:
+        return self.post.log_likelihood.reshape(len(self.root), self.n_students).sum(axis=1)
+
+
 def batch_e_step(
-    tree: ConceptTree, params: Sequence[Parameters], counts: np.ndarray
-) -> list[tuple[SufficientStats, float]]:
+    tree: ConceptTree, log_theta: np.ndarray, counts: np.ndarray
+) -> Accumulators:
     """The E-steps of T targets in one kernel pass: target t's dataset is
-    counts[:, :, t] ([V, 6, T, S]) at params[t]. Returns each target's
-    accumulators and total data log-likelihood; a target's sums run over
-    its S columns in column order."""
+    counts[:, :, t] ([V, 6, T, S]) at θ column t in log form (log_theta
+    [2V + 12, T], inference.log_form). A target's sums run over its S
+    columns in column order."""
     n_nodes, n_cells, n_targets, n_students = counts.shape
+    if n_targets > 1:
+        log_theta = log_theta.repeat(n_students, axis=1)
     post = batch_posteriors(
-        tree, log_parameters(tree, params, repeat=n_students),
-        counts.reshape(n_nodes, n_cells, n_targets * n_students))
+        tree, log_theta, counts.reshape(n_nodes, n_cells, n_targets * n_students))
     marginal = post.marginal.reshape(n_nodes, n_targets, n_students)
-    cells = post.cells.reshape(3, n_nodes, n_targets, n_students)
-    unmastered = np.einsum("vkts,vts->tk", counts, cells[0]).tolist()
-    mastered = np.einsum("vkts,vts->tk", counts, marginal).tolist()
-    pair = cells.sum(axis=3).transpose(2, 0, 1).tolist()
-    root = marginal[0].sum(axis=1).tolist()
-    ll = post.log_likelihood.reshape(n_targets, n_students).sum(axis=1).tolist()
-    non_root = post.plan.order[1:]
-    results = []
-    for t in range(n_targets):
-        stats = SufficientStats(
-            gamma_num=dict(zip(non_root, pair[t][1][1:])),
-            gamma_den_extra=dict(zip(non_root, pair[t][0][1:])),
-            root_num=root[t],
-            n_students=n_students,
-        )
-        for k, (difficulty, correct) in enumerate(CELL_KEYS):
-            if correct == 1:
-                stats.eps_pos += unmastered[t][k]
-                stats.r_pos[difficulty] += mastered[t][k]
-            else:
-                stats.eps_neg += unmastered[t][k]
-                stats.r_neg[difficulty] += mastered[t][k]
-        results.append((stats, ll[t]))
-    return results
+    pair = post.pair.reshape(2, n_nodes, n_targets, n_students)
+    return Accumulators(
+        unmastered=np.einsum("vkts,vts->tk", counts, pair[0]),
+        mastered=np.einsum("vkts,vts->tk", counts, marginal),
+        pair=pair.sum(axis=3),
+        root=marginal[0].sum(axis=1),
+        n_students=n_students,
+        post=post,
+    )
+
+
+#: The rows of the θ block after γ, as they are named in errors.
+_RATE_NAMES = ("r_easy", "r_med", "r_hard", "epsilon")
+
+
+def batch_m_step(acc: Accumulators, prev: np.ndarray) -> np.ndarray:
+    """Closed-form maximizers of T targets' expected complete-data
+    log-likelihoods: the θ block [V + 4, T] that follows prev.
+
+    Per non-root γ, rate and ε the update is num / (num + other), clamped
+    to [PARAM_FLOOR, 1 - PARAM_FLOOR]; ε is then capped at EPSILON_CAP.
+    Cells with no mass leave the parameter at its previous value (the
+    update is undefined there and retention is the only choice that keeps
+    the likelihood monotone). The root has no pairwise cell; its γ is the
+    mean root marginal. ParameterError names a result outside (0, 1).
+    """
+    if acc.n_students == 0:
+        raise ValueError("m_step requires statistics from a non-empty dataset")
+    v, n_targets = len(prev) - 4, prev.shape[1]
+    # Rows as in θ, numerators then denominators: the root's mean marginal
+    # over 1; per node the (1, 0) cell over it plus the (0, 0) cell; per
+    # rate and ε the correct cells' mass over it plus the incorrect cells'.
+    num, den = ratio = np.empty((2, v + 4, n_targets))
+    np.divide(acc.root, acc.n_students, out=num[0])
+    den[0] = 1.0
+    ratio[:, 1:v] = acc.pair[::-1, 1:]
+    ratio[:, v:v + 3] = acc.mastered.T.reshape(3, 2, n_targets).transpose(1, 0, 2)[::-1]
+    # ε's cells are summed in CELL_KEYS order, as u1 + u3 + u5.
+    u = acc.unmastered
+    ratio[::-1, -1] = (u[:, 0:2] + u[:, 2:4] + u[:, 4:6]).T
+    den[1:] += num[1:]
+    mass = den > 0.0
+    np.divide(num, den, out=num, where=mass)
+    theta = np.where(mass, clamp_probability(num), prev)
+    np.minimum(theta[-1], EPSILON_CAP, out=theta[-1])
+    if not (theta.min() > 0.0 and theta.max() < 1.0):
+        row, target = np.argwhere(~((theta > 0.0) & (theta < 1.0)))[0]
+        name = f"gamma of node {row} in plan order" if row < v else _RATE_NAMES[row - v]
+        raise ParameterError(
+            f"{name} of target {target} is {theta[row, target]!r}, outside (0, 1)")
+    return theta
+
+
+def _theta(tree: ConceptTree, params: Parameters) -> tuple[tuple[str, ...], np.ndarray]:
+    """The tree's node order and params as a θ block of one column."""
+    order = kernel_plan(tree).order
+    return order, params.column(order)[:, None]
+
+
+def _em_step(
+    tree: ConceptTree, theta: np.ndarray, counts: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """One EM iteration on one θ column [V + 4, 1] over counts [V, 6, S]:
+    the data log-likelihood at theta and the θ that follows it."""
+    acc = batch_e_step(tree, log_form(theta), counts[:, :, None, :])
+    return float(acc.ll[0]), batch_m_step(acc, theta)
 
 
 def e_step(
@@ -137,47 +211,42 @@ def e_step(
     dataset does not matter.
     """
     counts = pack_dataset(tree, dataset)
-    return batch_e_step(tree, [params], counts[:, :, None, :])[0]
+    order, theta = _theta(tree, params)
+    acc = batch_e_step(tree, log_form(theta), counts[:, :, None, :])
+    pair = acc.pair[:, 1:, 0].tolist()
+    u, m = acc.unmastered[0].tolist(), acc.mastered[0].tolist()
+    stats = SufficientStats(
+        gamma_num=dict(zip(order[1:], pair[1])),
+        gamma_den_extra=dict(zip(order[1:], pair[0])),
+        root_num=float(acc.root[0]),
+        n_students=acc.n_students,
+        eps_pos=u[1] + u[3] + u[5],
+        eps_neg=u[0] + u[2] + u[4],
+        r_pos=dict(zip(Difficulty, m[1::2])),
+        r_neg=dict(zip(Difficulty, m[0::2])),
+    )
+    return stats, float(acc.ll[0])
 
 
 def m_step(stats: SufficientStats, prev: Parameters) -> Parameters:
-    """Closed-form maximizer of the expected complete-data log-likelihood.
-
-    Accumulator cells with no mass leave the corresponding parameter at its
-    previous value (the update is undefined there and retention is the only
-    choice that keeps the likelihood monotone).
-    """
-    if stats.n_students == 0:
-        raise ValueError("m_step requires statistics from a non-empty dataset")
-
-    gamma = dict(prev.gamma)
-    for node, num in stats.gamma_num.items():
-        den = num + stats.gamma_den_extra.get(node, 0.0)
-        if den > 0.0:
-            gamma[node] = clamp_probability(num / den)
-    # The root has no pairwise cell; its prior is the mean root marginal.
-    for node in gamma:
-        if node not in stats.gamma_num:
-            gamma[node] = clamp_probability(stats.root_num / stats.n_students)
-
-    def ratio(pos: float, neg: float, fallback: float) -> float:
-        den = pos + neg
-        if den <= 0.0:
-            return fallback
-        return clamp_probability(pos / den)
-
-    epsilon = ratio(stats.eps_pos, stats.eps_neg, prev.epsilon)
-    epsilon = min(epsilon, EPSILON_CAP)
-    r_easy = ratio(stats.r_pos[Difficulty.EASY], stats.r_neg[Difficulty.EASY],
-                   prev.r_easy)
-    r_med = ratio(stats.r_pos[Difficulty.MEDIUM], stats.r_neg[Difficulty.MEDIUM],
-                  prev.r_med)
-    r_hard = ratio(stats.r_pos[Difficulty.HARD], stats.r_neg[Difficulty.HARD],
-                   prev.r_hard)
-
-    return Parameters(
-        gamma=gamma, r_easy=r_easy, r_med=r_med, r_hard=r_hard, epsilon=epsilon
+    """batch_m_step for one target given as SufficientStats: every node of
+    prev that has no pairwise cell in stats gets the root's update, the
+    mean root marginal."""
+    inner = list(stats.gamma_num)
+    acc = Accumulators(
+        unmastered=np.array([[stats.eps_neg, stats.eps_pos, 0.0, 0.0, 0.0, 0.0]]),
+        mastered=np.array([[stats.r_pos[d] if c else stats.r_neg[d] for d, c in CELL_KEYS]]),
+        pair=np.array([[0.0, *(stats.gamma_den_extra.get(n, 0.0) for n in inner)],
+                       [0.0, *(stats.gamma_num[n] for n in inner)]])[:, :, None],
+        root=np.array([stats.root_num]),
+        n_students=stats.n_students,
     )
+    # Row 0 stands for the root, whose previous γ is never kept.
+    theta = batch_m_step(acc, np.insert(prev.column(inner), 0, 0.5)[:, None])
+    theta = theta[:, 0].tolist()
+    gamma = dict.fromkeys(prev.gamma, theta[0])
+    gamma.update(zip(inner, theta[1:-4]))
+    return Parameters(gamma, *theta[-4:])
 
 
 def fit(
@@ -194,23 +263,25 @@ def fit(
     counts = pack_dataset(tree, dataset)
     if counts.shape[2] == 0:
         raise ValueError("fit requires a non-empty dataset")
-    params = init
+    order, theta = _theta(tree, init)
     trace: list[float] = []
     prev_ll: float | None = None
     converged = False
     iterations = 0
     unordered: list[int] = []
     for _ in range(max_iters):
-        stats, ll = e_step(tree, params, counts)
+        ll, update = _em_step(tree, theta, counts)
         trace.append(ll)
         if prev_ll is not None and abs(ll - prev_ll) < tol:
             converged = True
             break
-        params = m_step(stats, params)
+        theta = update
         iterations += 1
         prev_ll = ll
-        if not ordering_satisfied(params):
+        r_easy, r_med, r_hard, epsilon = theta[-4:, 0].tolist()
+        if not epsilon < r_hard < r_med < r_easy:
             unordered.append(iterations)
+    params = Parameters.from_column(order, theta[:, 0])
     if unordered:
         logger.warning(
             "emission ordering epsilon < r_hard < r_med < r_easy violated after "
@@ -232,7 +303,8 @@ def one_step_update(
     params: Parameters,
     dataset: Sequence[StudentObservations] | np.ndarray,
 ) -> Parameters:
-    """Exactly one EM iteration; never decreases the dataset likelihood.
-    An empty dataset is rejected by m_step."""
-    stats, _ = e_step(tree, params, dataset)
-    return m_step(stats, params)
+    """Exactly one EM iteration, as fit runs it; never decreases the
+    dataset likelihood. An empty dataset is rejected by the M-step."""
+    order, theta = _theta(tree, params)
+    _, update = _em_step(tree, theta, pack_dataset(tree, dataset))
+    return Parameters.from_column(order, update[:, 0])

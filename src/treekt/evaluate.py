@@ -155,7 +155,12 @@ def run_experiment(
     config: ExperimentConfig = ExperimentConfig(),
 ) -> ExperimentResult:
     """Split off per-student burn-in, fit, replay the rest, and score.
-    A remainder that cannot be scored fails before the fit."""
+    A burn-in count below 1, or a remainder that cannot be scored, fails
+    before the fit."""
+    if config.burn_in_count < 1:
+        raise MetricError(
+            f"--burn-in {config.burn_in_count} leaves no responses to fit; "
+            "the burn-in fit needs at least one response per student")
     burn_in, remainder = split_burn_in(stream, config.burn_in_count)
     outcomes = {rec.correct for rec in remainder}
     if len(outcomes) < 2:

@@ -7,20 +7,20 @@ time, or on a deep tree by heavy-path contraction in about 2 log2(depth)
 steps; downward in ceil(log2 depth) pointer-doubling steps. A single student
 is a batch of one. Responses are packed through one slot table built with
 the tree's plan. Counts make every posterior independent of the order
-responses arrived in, bit for bit.
+responses arrived in, bit for bit. Parameters reach the kernel in log form,
+built from θ columns by log_form with one np.log and one np.log1p.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .model import ParameterError, Parameters
+from .model import ParameterError, Parameters  # noqa: F401 (re-exported)
 from .tree import ConceptTree, Difficulty, QuestionMeta
 
 #: The (difficulty, correct) cell of each slot on axis 1 of packed counts.
@@ -375,65 +375,37 @@ def pack_counts(
     return counts
 
 
-class LogParameters(NamedTuple):
-    """Parameters in the kernel's log form, one column per parameter set:
-    a single column is shared by every counts column, K columns give each
-    counts column its own set."""
-
-    log_gamma: np.ndarray  # [V, K], nodes in plan order
-    log1m_gamma: np.ndarray  # [V, K]
-    log_e1: np.ndarray  # [6, K], log-emission at mastery per cell
-    log_ratio: np.ndarray  # [6, K], unmastered minus mastered
-
-
-def _log_column(plan: KernelPlan, params: Parameters) -> np.ndarray:
-    """One parameter set in log form, [2V + 12]: log gamma, log(1 - gamma),
-    log_e1 and log_ratio. Every node must have a gamma (Parameters checks
-    the ranges); the column is built once and kept with the (immutable)
-    parameters."""
-    cached = params.__dict__.get("_log_column")
-    if cached is not None and cached[0] is plan:
-        return cached[1]
-    try:
-        probs = [params.gamma[node] for node in plan.order]
-    except KeyError as exc:
-        raise ParameterError(f"gamma has no value for node {exc.args[0]!r}") from None
-    probs += [params.r_easy, params.r_med, params.r_hard, params.epsilon]
-    log_p = [math.log(p) for p in probs]
-    log_q = [math.log1p(-p) for p in probs]
-    v = len(plan.order)
-    log_e1 = [log_p[v + r] if c else log_q[v + r] for r, c in _CELL_RATE_CORRECT]
-    log_e0 = [log_p[-1] if c else log_q[-1] for _, c in _CELL_RATE_CORRECT]
-    column = np.array(log_p[:v] + log_q[:v] + log_e1
-                      + [e0 - e1 for e0, e1 in zip(log_e0, log_e1)])
-    params.__dict__["_log_column"] = (plan, column)
-    return column
+@lru_cache(maxsize=None)
+def _log_rows(v: int) -> np.ndarray:
+    """Where log_form takes its rows from in [log θ; log(1 - θ)] of a tree
+    of v nodes: log γ, log(1 - γ), then per CELL_KEYS cell the log-emission
+    at mastery and the unmastered one (ε's)."""
+    log_p, log_q = 0, v + 4
+    rows = [*range(log_p, log_p + v), *range(log_q, log_q + v)]
+    rows += [(log_p if c else log_q) + v + r for r, c in _CELL_RATE_CORRECT]
+    rows += [(log_p if c else log_q) + v + 3 for _, c in _CELL_RATE_CORRECT]
+    return np.array(rows)
 
 
-def log_parameters(
-    tree: ConceptTree, params: Parameters | Sequence[Parameters], repeat: int = 1
-) -> LogParameters:
-    """One column for a parameter set; for a sequence, one per set, each
-    repeated for `repeat` consecutive counts columns (one shared column if
-    every entry is the same set)."""
-    plan = kernel_plan(tree)
-    many = params if isinstance(params, Sequence) else [params]
-    if all(p is many[0] for p in many):
-        stacked = _log_column(plan, many[0])[:, None]
-    else:
-        stacked = np.stack([_log_column(plan, p) for p in many], axis=1)
-        stacked = stacked.repeat(repeat, axis=1)
-    v = len(plan.order)
-    return LogParameters(stacked[:v], stacked[v:2 * v], stacked[2 * v:2 * v + 6],
-                         stacked[2 * v + 6:])
+def log_form(theta: np.ndarray) -> np.ndarray:
+    """θ columns [V + 4, K] (model.Parameters.column) in the kernel's log
+    form [2V + 12, K]: log γ, log(1 - γ), then per CELL_KEYS cell the
+    log-emission at mastery (log_e1) and the unmastered one minus it
+    (log_ratio). One np.log and one np.log1p over the whole block."""
+    v = theta.shape[0] - 4
+    both = np.concatenate((np.log(theta), np.log1p(-theta)))
+    out = both.take(_log_rows(v), axis=0)
+    np.subtract(out[-6:], out[-12:-6], out=out[-6:])
+    return out
 
 
 class BatchPosteriors:
     """Kernel output, node axis in plan order. cells holds the (child,
     parent) cells (0, 0), (1, 0), (1, 1); (0, 1) is zero, as a mastered
     parent entails the child. The root's parent counts as unmastered.
-    cells [3, V, S] and log_likelihood [S] are built on first read, which
-    a prediction never makes, from the kernel's log P(unmastered | data)
+    pair [2, V, S] (cells (0, 0) and (1, 0), what an E-step reads), cells
+    [3, V, S] and log_likelihood [S] are built on first read, which a
+    prediction never makes, from the kernel's log P(unmastered | data)
     rows (row V is 0) and upward messages; the counts must not change
     before then."""
 
@@ -441,16 +413,25 @@ class BatchPosteriors:
         self.plan = plan
         self.marginal = marginal  # [V, S]
         self._messages = (log_p0, log_gamma, up, log_e1, counts)
-        self._cells = self._log_likelihood = None
+        self._pair = self._cells = self._log_likelihood = None
+
+    @property
+    def pair(self) -> np.ndarray:
+        if self._pair is None:
+            log_p0, log_gamma, up, _, _ = self._messages
+            self._pair = pair = np.empty((2, *up.shape))
+            np.exp(log_p0[:-1], out=pair[0])
+            parent_log_p0 = log_p0.take(self.plan.parent, axis=0)
+            parent_log_p0 += log_gamma
+            parent_log_p0 -= up
+            np.exp(parent_log_p0, out=pair[1])
+        return self._pair
 
     @property
     def cells(self) -> np.ndarray:
         if self._cells is None:
-            log_p0, log_gamma, up, _, _ = self._messages
-            parent_log_p0 = log_p0.take(self.plan.parent, axis=0)
-            self._cells = np.stack([np.exp(log_p0[:-1]),
-                                    np.exp(parent_log_p0 + log_gamma - up),
-                                    -np.expm1(parent_log_p0)])
+            parent_log_p0 = self._messages[0].take(self.plan.parent, axis=0)
+            self._cells = np.concatenate((self.pair, -np.expm1(parent_log_p0)[None]))
         return self._cells
 
     @property
@@ -468,11 +449,12 @@ class BatchPosteriors:
 
 
 def batch_posteriors(
-    tree: ConceptTree, params: Parameters | LogParameters, counts: np.ndarray
+    tree: ConceptTree, params: Parameters | np.ndarray, counts: np.ndarray
 ) -> BatchPosteriors:
     """The kernel: posteriors of every column of packed counts [V, 6, C],
-    under log-parameters with one shared column or one column per counts
-    column (a Parameters value is one shared column).
+    under θ in log form (log_form), [2V + 12, 1] shared by every counts
+    column or [2V + 12, C], one column each (a Parameters value is one
+    shared column).
 
     A mastered node forces its subtree, so its upward message lb1 is a sum
     of log-emissions and only the message bt0 to an unmastered parent needs
@@ -484,9 +466,11 @@ def batch_posteriors(
     in ceil(log2 depth) steps.
     """
     plan = kernel_plan(tree)
-    if not isinstance(params, LogParameters):
-        params = log_parameters(tree, params)
-    log_gamma, log1m_gamma, log_e1, log_ratio = params
+    if isinstance(params, Parameters):
+        params = log_form(params.column(plan.order)[:, None])
+    v = len(plan.order)
+    log_gamma, log1m_gamma = params[:v], params[v:2 * v]
+    log_e1, log_ratio = params[2 * v:2 * v + 6], params[2 * v + 6:]
     # shifted = lb0 - lb1 + log(1 - gamma) and up = bt0 - lb1, per node.
     shared = log_ratio.shape[1] == 1  # then a matmul does the emission sums
     if shared:

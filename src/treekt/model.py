@@ -2,7 +2,9 @@
 
 The parameter vector holds one mastery-transmission probability per concept
 node, three correctness-given-mastery probabilities (one per difficulty
-class), and a single guessing probability for unmastered concepts.
+class), and a single guessing probability for unmastered concepts. EM and
+the kernel carry it as a float column (Parameters.column); a Parameters
+value is what the API hands out and reads in.
 """
 
 from __future__ import annotations
@@ -10,7 +12,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, Sequence
+
+import numpy as np
 
 from .tree import ConceptTree, Difficulty
 
@@ -52,12 +56,6 @@ class Parameters:
         if bad:
             raise ParameterError("{} is {!r}, outside (0, 1)".format(*bad[0]))
 
-    def check_tree(self, tree: ConceptTree) -> None:
-        """Raise ParameterError naming the first node of tree with no gamma."""
-        for node in tree.nodes:
-            if node not in self.gamma:
-                raise ParameterError(f"gamma has no value for node {node!r}")
-
     def gamma_of(self, node_id: str) -> float:
         try:
             return self.gamma[node_id]
@@ -70,6 +68,22 @@ class Parameters:
         if difficulty is Difficulty.MEDIUM:
             return self.r_med
         return self.r_hard
+
+    def column(self, order: Sequence[str]) -> np.ndarray:
+        """θ as one float column [V + 4]: γ of each node in order, then
+        r_easy, r_med, r_hard and ε. ParameterError names the first node of
+        order with no γ."""
+        try:
+            gamma = [self.gamma[node] for node in order]
+        except KeyError as exc:
+            raise ParameterError(f"gamma has no value for node {exc.args[0]!r}") from None
+        return np.array(gamma + [self.r_easy, self.r_med, self.r_hard, self.epsilon])
+
+    @classmethod
+    def from_column(cls, order: Sequence[str], column: np.ndarray) -> "Parameters":
+        """The value of a θ column whose γ rows follow order."""
+        *gamma, r_easy, r_med, r_hard, epsilon = column.tolist()
+        return cls(dict(zip(order, gamma)), r_easy, r_med, r_hard, epsilon)
 
     def with_gamma(self, gamma: Mapping[str, float]) -> "Parameters":
         return replace(self, gamma=dict(gamma))
@@ -114,8 +128,9 @@ def ordering_satisfied(params: Parameters) -> bool:
     return params.epsilon < params.r_hard < params.r_med < params.r_easy
 
 
-def clamp_probability(p: float) -> float:
-    return min(max(p, PARAM_FLOOR), 1.0 - PARAM_FLOOR)
+def clamp_probability(p):
+    """p, or each element of an array p, held to [PARAM_FLOOR, 1 - PARAM_FLOOR]."""
+    return np.minimum(np.maximum(p, PARAM_FLOOR), 1.0 - PARAM_FLOOR)
 
 
 def transition_prob(

@@ -5,16 +5,20 @@ A session is fitted once on pooled early interactions. Each student then
 gets a personalized parameter copy that is refreshed with a single EM
 iteration over the burn-in data plus that student's own history after every
 new response (optionally batched). Students never see each other's
-post-burn-in data.
+post-burn-in data. A student's parameters are a θ column [V + 4] (see em)
+kept beside its log form [2V + 12], which is built once per update and
+never per prediction.
 
 So the t-th update of one student does not depend on any other student's,
 and work runs in rounds of distinct students. A round predicts one question
-per student in one kernel call, each column at that student's parameters,
-then reveals one response per student and runs every update that falls due
-as one E-step over a [V, 6, T, S] slab: per target, the burn-in pool with
-the target's column replaced by (or, for a newcomer, joined by) the
-target's full history. Slabs hold at most SLAB_CELLS cells. replay runs
-the stream as rounds; observe and predict_next are rounds of one student.
+per student in one kernel call, each column at that student's θ, then
+reveals one response per student and runs every update that falls due as
+one E-step over a [V, 6, T, S] slab: per target, the burn-in pool with the
+target's column replaced by (or, for a newcomer, joined by) the target's
+full history. The due students' θ columns go through the E-step, the
+M-step and the log form as [·, T] blocks. Slabs hold at most SLAB_CELLS
+cells. replay runs the stream as rounds; observe and predict_next are
+rounds of one student.
 """
 
 from __future__ import annotations
@@ -27,18 +31,17 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .em import FitReport, batch_e_step, fit, m_step
+from .em import FitReport, batch_e_step, batch_m_step, fit
 from .inference import (
-    BeliefTable,
     InferenceError,
     Interaction,
     Prediction,
     batch_posteriors,
     cell_slots,
+    kernel_plan,
     leaf_error,
-    log_parameters,
+    log_form,
     pack_counts,
-    predict,
 )
 from .model import Parameters, default_parameters
 from .tree import ConceptTree, Difficulty, QuestionMeta
@@ -73,13 +76,24 @@ class PredictionRecord:
     seq: int
 
 
-@dataclass
+@dataclass(eq=False)
 class StudentModel:
+    """A student's θ as a column [V + 4] in the order of the tree's plan,
+    with its log form [2V + 12] beside it, and the student's history. A
+    student who has had no update shares the session's θ_init columns."""
+
     student_id: str
-    params: Parameters
+    order: tuple[str, ...] = field(repr=False)
+    theta: np.ndarray = field(repr=False)
+    log_theta: np.ndarray = field(repr=False)
     history: list[Interaction] = field(default_factory=list)
     pending: int = 0
-    packed: np.ndarray | None = field(default=None, repr=False, compare=False)
+    packed: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def params(self) -> Parameters:
+        """θ as a Parameters value, built on each read."""
+        return Parameters.from_column(self.order, self.theta)
 
 
 @dataclass
@@ -98,9 +112,18 @@ class ClassroomSession:
     fit_report: FitReport | None = None
     students: dict[str, StudentModel] = field(default_factory=dict)
     update_batch: int | None = 1
+    _init: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.theta_init.check_tree(self.tree)
+        self.theta_init.column(self.tree.nodes)  # ParameterError for a node with no γ
+
+    def _init_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """theta_init as a θ column and its log form, built once per value
+        assigned to theta_init."""
+        if self._init is None or self._init[0] is not self.theta_init:
+            theta = self.theta_init.column(kernel_plan(self.tree).order)
+            self._init = (self.theta_init, theta, log_form(theta[:, None])[:, 0])
+        return self._init[1:]
 
     def student_history(self, student_id: str) -> list[Interaction]:
         """Burn-in plus post-burn-in responses; the conditioning set."""
@@ -172,25 +195,50 @@ def burn_in_fit(
     return session
 
 
+def _block(columns: Sequence[np.ndarray]) -> np.ndarray:
+    """Columns of equal length side by side, [n, len(columns)]."""
+    return np.ascontiguousarray(np.array(columns).T)
+
+
+#: Each difficulty's rate row in a θ column, counted from the first rate.
+_RATE_ROW = {d: r for r, d in enumerate(Difficulty)}
+
+
 def _predict_round(
     session: ClassroomSession, student_ids: Sequence[str],
     questions: Sequence[QuestionMeta],
-) -> list[Prediction]:
-    """Predict one question for each of distinct students, every student at
-    their own parameters and history, in kernel calls of SLAB_CELLS."""
-    tree, preds = session.tree, []
-    size = max(1, SLAB_CELLS // len(tree.nodes))
+) -> tuple[list[float], list[float]]:
+    """P(correct) and the posterior mastery of the question's node, for one
+    question for each of distinct students, every student at their own θ
+    and history, in kernel calls of SLAB_CELLS. P(correct) is (1 - m)·ε +
+    m·φ, as inference.predict computes it."""
+    plan = kernel_plan(session.tree)
+    v = len(plan.order)
+    size = max(1, SLAB_CELLS // v)
+    init = session._init_columns()
+    prob: list[float] = []
+    mastery: list[float] = []
     for a in range(0, len(student_ids), size):
-        chunk = student_ids[a:a + size]
-        params = [
-            model.params if model is not None else session.theta_init
-            for model in map(session.students.get, chunk)
-        ]
+        chunk, asked = student_ids[a:a + size], questions[a:a + size]
+        thetas, logs = zip(*[init if m is None else (m.theta, m.log_theta)
+                             for m in map(session.students.get, chunk)])
+        # A chunk at one θ (a frozen session) is one shared kernel column.
+        if all(log is logs[0] for log in logs):
+            theta, log_theta, columns = thetas[0][:, None], logs[0][:, None], 0
+        else:
+            theta, log_theta = _block(thetas), _block(logs)
+            columns = np.arange(len(chunk))
         counts = np.concatenate([*map(session._history_counts, chunk)], axis=2)
-        post = batch_posteriors(tree, log_parameters(tree, params), counts)
-        preds += [predict(p, BeliefTable(post, column), question)
-                  for column, (p, question) in enumerate(zip(params, questions[a:]))]
-    return preds
+        post = batch_posteriors(session.tree, log_theta, counts)
+        try:
+            rows = [plan.index[q.kc] for q in asked]
+        except KeyError as exc:
+            raise InferenceError(f"unknown KC: {exc.args[0]!r}") from None
+        p1 = post.marginal[rows, np.arange(len(chunk))]
+        phi = theta[[v + _RATE_ROW[q.difficulty] for q in asked], columns]
+        prob += ((1.0 - p1) * theta[-1, columns] + p1 * phi).tolist()
+        mastery += p1.tolist()
+    return prob, mastery
 
 
 def _reveal_round(
@@ -202,7 +250,8 @@ def _reveal_round(
     for student_id, interaction in events:
         model = session.students.get(student_id)
         if model is None:
-            model = StudentModel(student_id=student_id, params=session.theta_init)
+            model = StudentModel(student_id, kernel_plan(tree).order,
+                                 *session._init_columns())
             session.students[student_id] = model
         if model.packed is not None:
             model.packed.flat[cell_slots(tree, [interaction])[0]] += 1.0
@@ -220,10 +269,13 @@ def _reveal_round(
         for a in range(0, len(group), size):
             chunk = group[a:a + size]
             slab = session._slab([m.student_id for m in chunk])
-            steps = batch_e_step(tree, [m.params for m in chunk], slab)
-            for model, (stats, _) in zip(chunk, steps):
-                model.params = m_step(stats, model.params)
-                model.pending = 0
+            # Left unnamed, the accumulators and the kernel output they hold
+            # are freed before the next slab is built.
+            theta = batch_m_step(
+                batch_e_step(tree, _block([m.log_theta for m in chunk]), slab),
+                _block([m.theta for m in chunk]))
+            for model, column, log_column in zip(chunk, theta.T, log_form(theta).T):
+                model.theta, model.log_theta, model.pending = column, log_column, 0
 
 
 def observe(
@@ -241,7 +293,8 @@ def predict_next(
     """Posterior over the question's concept given the student's history,
     blended with the emission rates. Unseen students use the shared model
     and an empty personal history."""
-    return _predict_round(session, [student_id], [question])[0]
+    (prob,), (mastery,) = _predict_round(session, [student_id], [question])
+    return Prediction(question.question_id, prob, mastery)
 
 
 def replay(
@@ -260,14 +313,14 @@ def replay(
     records: list = [None] * len(stream)
     for t in range(max(map(len, queues.values()), default=0)):
         batch = [(i, stream[i]) for i in (q[t] for q in queues.values() if len(q) > t)]
-        preds = _predict_round(
+        probs, _ = _predict_round(
             session, [rec.student_id for _, rec in batch],
             [QuestionMeta(rec.question_id, rec.kc, rec.difficulty) for _, rec in batch])
-        for (i, rec), pred in zip(batch, preds):
+        for (i, rec), p_correct in zip(batch, probs):
             records[i] = PredictionRecord(
                 student_id=rec.student_id,
                 question_id=rec.question_id,
-                p_correct=pred.prob_correct,
+                p_correct=p_correct,
                 actual=rec.correct,
                 seq=rec.seq,
             )

@@ -259,6 +259,55 @@ class TestOptionLayering:
         assert metrics["n_records"] == 6 * 4
 
 
+    @pytest.mark.parametrize("source", ["config", "env"])
+    def test_unreadable_value_names_its_source(self, tmp_path, monkeypatch, capsys,
+                                               source):
+        sim = simulate_into(tmp_path)
+        argv = ["fit", "--tree", str(sim / "tree.json"),
+                "--stream", str(sim / "stream.jsonl"), "--out", str(tmp_path / "out")]
+        if source == "config":
+            config = tmp_path / "opts.cfg"
+            config.write_text("max_iters = abc\n")
+            argv += ["--config", str(config)]
+            where = f"{config}: max_iters: "
+        else:
+            monkeypatch.setenv("TREEKT_MAX_ITERS", "abc")
+            where = "TREEKT_MAX_ITERS: "
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {where}invalid literal for int()")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+
+class TestMaxIters:
+    @pytest.mark.parametrize("command", ["fit", "eval"])
+    @pytest.mark.parametrize("source, value", [
+        ("flag", "0"), ("flag", "-1"), ("config", "0"), ("env", "-3"),
+    ])
+    def test_below_one_exits_one_before_loading(self, tmp_path, monkeypatch, capsys,
+                                                command, source, value):
+        # The stream does not exist: reading it would exit 2.
+        argv = [command, "--tree", str(tmp_path / "tree.json"),
+                "--stream", str(tmp_path / "missing.jsonl"),
+                "--out", str(tmp_path / "out")]
+        if source == "flag":
+            argv += ["--max-iters", value]
+        elif source == "config":
+            config = tmp_path / "opts.cfg"
+            config.write_text(f"max_iters = {value}\n")
+            argv += ["--config", str(config)]
+        else:
+            monkeypatch.setenv("TREEKT_MAX_ITERS", value)
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"--max-iters {value}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+
 class TestEvalBoundary:
     def test_burn_in_beyond_every_history_exits_one_before_fitting(
             self, tmp_path, capsys):

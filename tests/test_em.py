@@ -2,6 +2,7 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treekt import (
     Difficulty,
@@ -16,8 +17,9 @@ from treekt import (
     observation_set,
     one_step_update,
 )
-from treekt.em import SufficientStats
-from treekt.model import EPSILON_CAP
+from treekt.em import Accumulators, SufficientStats, batch_m_step
+from treekt.inference import CELL_KEYS
+from treekt.model import EPSILON_CAP, PARAM_FLOOR
 from treekt.simulate import (
     SimConfig,
     generate_classroom,
@@ -253,3 +255,133 @@ class TestOneStepUpdate:
                 params = one_step_update(tree, params, dataset)
                 _, after = e_step(tree, params, dataset)
                 assert after >= before - 1e-9
+
+
+def reference_clamp(p):
+    return min(max(p, PARAM_FLOOR), 1.0 - PARAM_FLOOR)
+
+
+def reference_m_step(stats, prev):
+    """The dict-based scalar M-step that batch_m_step replaced, kept as its
+    oracle."""
+    if stats.n_students == 0:
+        raise ValueError("m_step requires statistics from a non-empty dataset")
+
+    gamma = dict(prev.gamma)
+    for node, num in stats.gamma_num.items():
+        den = num + stats.gamma_den_extra.get(node, 0.0)
+        if den > 0.0:
+            gamma[node] = reference_clamp(num / den)
+    for node in gamma:
+        if node not in stats.gamma_num:
+            gamma[node] = reference_clamp(stats.root_num / stats.n_students)
+
+    def ratio(pos, neg, fallback):
+        den = pos + neg
+        if den <= 0.0:
+            return fallback
+        return reference_clamp(pos / den)
+
+    epsilon = ratio(stats.eps_pos, stats.eps_neg, prev.epsilon)
+    epsilon = min(epsilon, EPSILON_CAP)
+    r_easy = ratio(stats.r_pos[Difficulty.EASY], stats.r_neg[Difficulty.EASY],
+                   prev.r_easy)
+    r_med = ratio(stats.r_pos[Difficulty.MEDIUM], stats.r_neg[Difficulty.MEDIUM],
+                  prev.r_med)
+    r_hard = ratio(stats.r_pos[Difficulty.HARD], stats.r_neg[Difficulty.HARD],
+                   prev.r_hard)
+    return Parameters(
+        gamma=gamma, r_easy=r_easy, r_med=r_med, r_hard=r_hard, epsilon=epsilon
+    )
+
+
+def reference_stats(acc, order, t):
+    """Target t's accumulators as the per-target dicts the E-step built
+    before it returned arrays."""
+    pair = acc.pair[:, :, t].tolist()
+    stats = SufficientStats(
+        gamma_num=dict(zip(order[1:], pair[1][1:])),
+        gamma_den_extra=dict(zip(order[1:], pair[0][1:])),
+        root_num=float(acc.root[t]),
+        n_students=acc.n_students,
+    )
+    unmastered, mastered = acc.unmastered.tolist(), acc.mastered.tolist()
+    for k, (difficulty, correct) in enumerate(CELL_KEYS):
+        if correct == 1:
+            stats.eps_pos += unmastered[t][k]
+            stats.r_pos[difficulty] += mastered[t][k]
+        else:
+            stats.eps_neg += unmastered[t][k]
+            stats.r_neg[difficulty] += mastered[t][k]
+    return stats
+
+
+#: Accumulator cells: no mass (the parameter keeps its previous value),
+#: a sliver (a ratio below PARAM_FLOOR next to a larger cell) or a mass.
+_cell = st.one_of(st.just(0.0), st.floats(1e-300, 1e-7), st.floats(0.0, 1e3))
+_probability = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+@st.composite
+def _m_step_inputs(draw):
+    n_nodes, n_targets = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+
+    def block(*shape):
+        size = int(np.prod(shape))
+        return np.array(draw(st.lists(_cell, min_size=size, max_size=size))).reshape(shape)
+
+    n_students = draw(st.integers(1, 50))
+    unmastered = block(n_targets, 6)
+    # Scaled-down correct cells give ε ratios below the cap as well as above.
+    unmastered[:, 1::2] *= draw(st.sampled_from([1.0, 0.1, 1e-3]))
+    acc = Accumulators(
+        unmastered=unmastered, mastered=block(n_targets, 6),
+        pair=block(2, n_nodes, n_targets),
+        root=np.array(draw(st.lists(st.floats(0.0, float(n_students)),
+                                    min_size=n_targets, max_size=n_targets))),
+        n_students=n_students)
+    size = (n_nodes + 4) * n_targets
+    prev = np.array(draw(st.lists(_probability, min_size=size, max_size=size)))
+    return acc, prev.reshape(n_nodes + 4, n_targets)
+
+
+class TestBatchMStep:
+    @settings(max_examples=200, deadline=None)
+    @given(inputs=_m_step_inputs())
+    def test_every_column_equals_the_scalar_m_step(self, inputs):
+        acc, prev = inputs
+        order = tuple(f"n{v}" for v in range(len(prev) - 4))
+        theta = batch_m_step(acc, prev)
+        assert theta.shape == prev.shape
+        for t in range(prev.shape[1]):
+            want = reference_m_step(reference_stats(acc, order, t),
+                                    Parameters.from_column(order, prev[:, t]))
+            got = Parameters.from_column(order, theta[:, t])
+            assert dict(got.gamma) == dict(want.gamma)
+            for name in ("r_easy", "r_med", "r_hard", "epsilon"):
+                assert getattr(got, name) == getattr(want, name)
+
+    def test_fallback_cap_floor_and_summation_order(self):
+        # One column holds no mass anywhere, one an epsilon ratio of 0.9 and
+        # rate ratios below the floor, one correct epsilon cells whose sum
+        # depends on its order: (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3).
+        order = ("root", "a")
+        prev = np.array([[0.2] * 3, [0.4] * 3, [0.9] * 3, [0.8] * 3, [0.7] * 3,
+                         [0.1] * 3])
+        acc = Accumulators(
+            unmastered=np.array([[0.0] * 6, [1.0, 9.0, 0.0, 0.0, 0.0, 0.0],
+                                 [5.0, 0.1, 5.0, 0.2, 0.0, 0.3]]),
+            mastered=np.array([[0.0] * 6, [1.0, 1e-9] * 3, [1.0] * 6]),
+            pair=np.array([[[0.0] * 3, [0.0, 2.0, 1.0]],
+                           [[0.0] * 3, [0.0, 1e-12, 1.0]]]),
+            root=np.array([0.0, 3.0, 1.0]), n_students=4)
+        theta = batch_m_step(acc, prev)
+        assert theta[1:, 0].tolist() == prev[1:, 0].tolist()
+        assert theta[0, 0] == PARAM_FLOOR
+        assert theta[-1, 1] == EPSILON_CAP
+        assert theta[1:5, 1].tolist() == [PARAM_FLOOR] * 4
+        assert theta[-1, 2] == ((0.1 + 0.2) + 0.3) / (10.0 + ((0.1 + 0.2) + 0.3))
+        for t in range(3):
+            want = reference_m_step(reference_stats(acc, order, t),
+                                    Parameters.from_column(order, prev[:, t]))
+            assert Parameters.from_column(order, theta[:, t]) == want

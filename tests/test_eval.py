@@ -158,11 +158,13 @@ class TestRunExperiment:
         assert a.records == b.records
         assert a.report == b.report
 
-    @pytest.mark.parametrize("burn_in, outcome", [(10, None), (3, 1), (3, 0)])
+    @pytest.mark.parametrize("burn_in, outcome", [(10, None), (3, 1), (3, 0),
+                                                  (0, None), (-1, None)])
     def test_unscorable_remainder_fails_before_fit(self, monkeypatch, burn_in,
                                                    outcome):
         # A remainder that is empty, or holds one outcome class, cannot be
-        # scored; that must be found before the burn-in fit is paid for.
+        # scored, and a burn-in below 1 leaves nothing to fit; that must be
+        # found before the burn-in fit is paid for.
         import dataclasses
 
         import treekt.evaluate

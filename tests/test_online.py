@@ -254,6 +254,38 @@ class TestSessionLifecycle:
             observe(session, rec.student_id, rec.interaction())
         assert all(model.packed is None for model in session.students.values())
 
+    def test_frozen_reads_do_no_log_work(self, monkeypatch):
+        # A frozen session builds theta_init's log form once; a read of an
+        # unchanged theta makes no log work and gives the same prediction.
+        import treekt.em
+        import treekt.inference
+        import treekt.online
+
+        calls = []
+
+        def counted(theta):
+            calls.append(theta.shape)
+            return log_form(theta)
+
+        log_form = treekt.inference.log_form
+        for module in (treekt.inference, treekt.em, treekt.online):
+            monkeypatch.setattr(module, "log_form", counted)
+        tree, bank, stream = small_classroom(seed=10)
+        burn_in, _ = split_burn_in(stream, 4)
+        session = ClassroomSession(tree=tree, burn_in=burn_in,
+                                   theta_init=default_parameters(tree),
+                                   update_batch=None)
+        sid = sorted(burn_in)[0]
+        q = QuestionMeta(bank[0].question_id, bank[0].kc, bank[0].difficulty)
+        first = predict_next(session, sid, q)
+        assert len(calls) == 1
+        second = predict_next(session, sid, q)
+        assert second == first and len(calls) == 1
+        # A new response changes the history, not theta.
+        observe(session, sid, Interaction("e", q.kc, q.difficulty, 1))
+        third = predict_next(session, sid, q)
+        assert third != first and len(calls) == 1
+
     def test_update_batching(self):
         tree, _, stream = small_classroom(seed=7)
         burn_in, remainder = split_burn_in(stream, 4)

@@ -24,6 +24,7 @@ from .inference import Interaction, observation_set, posteriors
 from .model import Parameters, default_parameters
 from .online import StreamFormatError, burn_in_fit, load_stream, prediction_lines
 from .simulate import (
+    ENUMERATION_LIMIT,
     SimConfig,
     brute_force_posteriors,
     generate_classroom,
@@ -98,9 +99,14 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
         if hasattr(args, name):
             setattr(args, name, _layered_value(name, getattr(args, name), config,
                                                config_path, caster))
-    # EM reports on at least one iteration; refuse fewer before any work.
+    # Refuse values no run can honour before any work.
     if getattr(args, "max_iters", 1) < 1:
         raise ValueError(f"--max-iters {args.max_iters}: EM needs at least one iteration")
+    if not 0.0 <= getattr(args, "threshold", 0.5) <= 1.0:  # also NaN
+        raise ValueError(f"--threshold {args.threshold}: a cut on a probability "
+                         "must lie in [0, 1]")
+    if not getattr(args, "tol", 0.0) >= 0.0:  # also NaN
+        raise ValueError(f"--tol {args.tol}: EM's tolerance must be a number >= 0")
     return args
 
 
@@ -189,6 +195,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
+    if args.instances < 0:
+        raise ValueError(f"--instances {args.instances}: cannot be negative")
+    if not 2 <= args.max_nodes <= ENUMERATION_LIMIT:
+        raise ValueError(f"--max-nodes {args.max_nodes}: enumeration takes trees of "
+                         f"2 to {ENUMERATION_LIMIT} nodes")
     if args.instances == 0:
         print("warning: 0 instances requested; vacuous pass", file=sys.stderr)
         return 0
@@ -196,9 +207,6 @@ def cmd_oracle_check(args) -> int:
     worst = 0.0
     for _ in range(args.instances):
         n_nodes = int(rng.integers(2, args.max_nodes + 1))
-        if n_nodes > 20:
-            print("error: tree too large for enumeration", file=sys.stderr)
-            return 1
         tree = random_tree(rng, n_nodes)
         params = _perturbed_parameters(tree, rng)
         bank = random_question_bank(rng, tree, per_leaf=2)

@@ -2,13 +2,15 @@
 
 The kernel takes response counts packed as [V, 6, S] (nodes in breadth-first
 order x CELL_KEYS x students) and runs the upward-downward recursion of the
-hidden Markov tree on every student at once: upward one tree level at a
-time, or on a deep tree by heavy-path contraction in about 2 log2(depth)
-steps; downward in ceil(log2 depth) pointer-doubling steps. A single student
-is a batch of one. Responses are packed through one slot table built with
-the tree's plan. Counts make every posterior independent of the order
-responses arrived in, bit for bit. Parameters reach the kernel in log form,
-built from θ columns by log_form with one np.log and one np.log1p.
+hidden Markov tree on every student at once. Narrow calls on a deep tree
+run both passes by a closed-form scan along heavy paths, one cumsum and one
+np.logaddexp.accumulate per round of paths; other calls go upward one tree
+level at a time and downward in ceil(log2 depth) pointer-doubling steps.
+A single student is a batch of one. Responses are packed through one slot
+table built with the tree's plan. Counts make every posterior independent
+of the order responses arrived in, bit for bit. Parameters reach the kernel
+in log form, built from θ columns by log_form with one np.log and one
+np.log1p.
 """
 
 from __future__ import annotations
@@ -75,13 +77,14 @@ def observation_set(
     return ObservationSet(interactions=interactions, counts=counts)
 
 
-#: Calls with fewer counts columns than this take plan.upward; wider ones
-#: take plan.levels. A narrow call's time is mostly numpy call overhead
-#: (about 1 us a call), which contraction saves; a wide call's is mostly
-#: np.logaddexp (about 40 ns an element), of which a level schedule does
-#: the least: one per node, against three or more per path node. Measured
-#: on chains and caterpillars, contraction stops paying between 16 and 96
-#: columns.
+#: Calls with fewer counts columns than this run plan.scan where the plan
+#: has one; wider calls, and every call on a tree without one, run
+#: plan.levels. A narrow call's time is mostly numpy call overhead (about
+#: 1 us a call), of which the scan makes a fixed number per round of heavy
+#: paths; a wide call's is mostly element work, of which a level schedule
+#: does the least. Wide calls also take their log-sum-exp from vectorized
+#: ufuncs (about 4.5 ns an element against 40 ns for np.logaddexp, but six
+#: calls instead of one).
 _NARROW = 16
 
 
@@ -112,72 +115,44 @@ class _Level(NamedTuple):
     above: slice | None
     incidence: np.ndarray | None
 
-    def run(self, log_gamma, shifted, up, p, q) -> None:
+    def run(self, log_gamma, shifted, up, scratch) -> None:
+        """scratch: None for np.logaddexp, or rows [at least the level,
+        columns] for max(a, b) + log1p(e^(min(a, b) - max(a, b)))."""
         here, above, incidence = self
         level_up = up[here]
-        np.logaddexp(log_gamma[here], shifted[here], out=level_up)
+        if scratch is None:
+            np.logaddexp(log_gamma[here], shifted[here], out=level_up)
+        else:
+            a, b, low = log_gamma[here], shifted[here], scratch[:len(level_up)]
+            np.maximum(a, b, out=level_up)
+            np.minimum(a, b, out=low)
+            low -= level_up
+            np.exp(low, out=low)
+            np.log1p(low, out=low)
+            level_up += low
         if incidence is not None:
             parents = shifted[above]
             np.add(parents, incidence.dot(level_up), out=parents)
 
 
-class _Leaves(NamedTuple):
-    """The light leaves of a deep tree, finished at once (up = log(gamma +
-    e^shifted)) and added into their parents."""
+class _Round(NamedTuple):
+    """One round of heavy paths on a grid of [rows, paths] cells, each path
+    bottom-up in its column: row 0 is the sentinel below every path's last
+    node, row r the path's r-th node from its end; rows above a head are
+    padding that nothing reads. grid: the node of each flat cell (0 for
+    the sentinel and padding). Per path node: its flat cell, the cell
+    below it and its head's cell, and its head's parent (V for the root's
+    path). A round of one-node paths has no grid: shape, grid, cells,
+    below and head are None."""
 
     nodes: np.ndarray
+    grid: np.ndarray | None
+    cells: np.ndarray | None
+    below: np.ndarray | None
+    head: np.ndarray | None
+    above: np.ndarray
+    shape: tuple[int, int] | None
     light: _Light | None
-
-    def run(self, log_gamma, shifted, up, p, q) -> None:
-        nodes, light = self
-        up[nodes] = np.logaddexp(log_gamma[nodes], shifted[nodes])
-        if light is not None:
-            light.add(shifted, up)
-
-
-class _Compose(NamedTuple):
-    """One contraction level: a map (p, q) of a path segment is x -> log(e^p
-    + e^(q + x)), and each left map absorbs its right neighbour, (p, q)
-    after (p', q') = (logaddexp(p, q + p'), q + q'), into the level above.
-    The first level loads each path node's map (log gamma, shifted)."""
-
-    lefts: slice
-    rights: slice
-    above: slice
-    load: tuple[np.ndarray, np.ndarray] | None  # (work rows, nodes)
-
-    def run(self, log_gamma, shifted, up, p, q) -> None:
-        if self.load is not None:
-            rows, nodes = self.load
-            p[rows] = log_gamma[nodes]
-            q[rows] = shifted[nodes]
-        np.logaddexp(p[self.lefts], q[self.lefts] + p[self.rights], out=p[self.above])
-        np.add(q[self.lefts], q[self.rights], out=q[self.above])
-
-
-class _Expand(NamedTuple):
-    """One expansion level, into the p rows: the message below a right map
-    is the one below its pair, the message below a left map is the right
-    map applied to it. The last level gives each path node shifted = b +
-    the message below it (its heavy child's up) and up = log(gamma +
-    e^shifted), then adds the path heads' messages into their parents."""
-
-    lefts: slice
-    rights: slice
-    above: slice
-    unload: tuple[np.ndarray, np.ndarray] | None  # (work rows, nodes)
-    light: _Light | None
-
-    def run(self, log_gamma, shifted, up, p, q) -> None:
-        np.logaddexp(p[self.rights], q[self.rights] + p[self.above], out=p[self.lefts])
-        p[self.rights] = p[self.above]
-        if self.unload is not None:
-            rows, nodes = self.unload
-            below = q[rows] + p[rows]
-            shifted[nodes] = below
-            up[nodes] = np.logaddexp(log_gamma[nodes], below)
-        if self.light is not None:
-            self.light.add(shifted, up)
 
 
 def _light(parent: np.ndarray, heads: Sequence[int]) -> _Light | None:
@@ -193,23 +168,14 @@ def _light(parent: np.ndarray, heads: Sequence[int]) -> _Light | None:
     return _Light(np.array(heads), np.array(parents), incidence)
 
 
-def _path_schedule(parent: np.ndarray) -> tuple[list, np.ndarray]:
-    """Upward steps by heavy-path contraction, and the work rows [2, rows, 1]
-    they start from.
+def _scan_rounds(parent: np.ndarray) -> list[_Round]:
+    """The rounds of the heavy-path scan, leaves first.
 
     A node's heavy child is its child with the largest subtree; heavy paths
     run from the root and from each light child down heavy children. A
     path's round is one more than the largest round of its nodes' light
-    children, so those have finished when it starts; a round of bare
-    leaves is one finishing step. In a round, a path of L nodes is a block
-    of 2**K maps, K = bit_length(L): its nodes' maps (log gamma, shifted),
-    then copies of the sentinel that stands below its end, the constant
-    map to 0 (p = 0, q = -inf). Contraction pairs neighbours level by level
-    until two maps are left per block; expansion then hands each map the
-    message below it, starting from 0 below the top pair. The rows of a
-    level hold the left maps of the next level's pairs, then their right
-    maps, then the blocks that end at that level, so every step works on
-    contiguous row slices.
+    children, so those have finished when it starts; the root's path is
+    alone in the last round.
     """
     n = len(parent)
     children: list[list[int]] = [[] for _ in range(n)]
@@ -229,49 +195,66 @@ def _path_schedule(parent: np.ndarray) -> tuple[list, np.ndarray]:
         paths[head] = path
         rank[head] = max((rank[c] + 1 for v in path for c in children[v]
                           if c != heavy[v]), default=0)
-    steps, sentinels, base = [], [], 0
+    rounds = []
     for r in range(max(rank.values()) + 1):
         heads = sorted(h for h in paths if rank[h] == r)
         light = _light(parent, heads)
         if all(len(paths[h]) == 1 for h in heads):
-            steps.append(_Leaves(np.array(heads), light))
+            rounds.append(_Round(np.array(heads), None, None, None, None, parent[heads],
+                                 None, light))
             continue
-        blocks = sorted((paths[h] for h in heads), key=lambda p: -len(p).bit_length())
-        top = len(blocks[0]).bit_length()
-        ends = [[b for b, path in enumerate(blocks) if len(path).bit_length() == j]
-                for j in range(top + 1)]  # the blocks that end at each level
-        # Per level j = 1 .. top, (block, position) of each map, in row order.
-        maps = [(b, 0) for b in ends[top]]
-        tiers = [maps]
-        for j in range(top - 1, 0, -1):
-            maps = [(b, 2 * i) for b, i in maps] + [(b, 2 * i + 1) for b, i in maps] \
-                + [(b, 0) for b in ends[j]]
-            tiers.append(maps)
-        tiers.reverse()
-        rows, nodes = [], []
-        first = [(b, 2 * i) for b, i in tiers[0]] + [(b, 2 * i + 1) for b, i in tiers[0]]
-        for k, (b, i) in enumerate(first):
-            if i < len(blocks[b]):
-                rows.append(base + k)
-                nodes.append(blocks[b][i])
-            else:
-                sentinels.append(base + k)
-        load = (np.array(rows), np.array(nodes))
-        compose, expand = [], []
-        for j, above_maps in enumerate(tiers):
-            pairs = len(above_maps)
-            lefts, rights = slice(base, base + pairs), slice(base + pairs, base + 2 * pairs)
-            base += 2 * pairs + len(ends[j])
-            above = slice(base, base + pairs)
-            if j < top - 1:
-                compose.append(_Compose(lefts, rights, above, None if j else load))
-            expand.append(_Expand(lefts, rights, above, None if j else load,
-                                  None if j else light))
-        base += len(tiers[-1])
-        steps += compose + expand[::-1]
-    work = np.zeros((2, base, 1))
-    work[1, sentinels] = -np.inf
-    return steps, work
+        n_paths = len(heads)
+        nodes, cells, head, above = [], [], [], []
+        for p, h in enumerate(heads):
+            length = len(paths[h])
+            nodes += paths[h]
+            cells += [(length - k) * n_paths + p for k in range(length)]
+            head += [length * n_paths + p] * length
+            above += [parent[h]] * length
+        shape = (1 + max(len(paths[h]) for h in heads), n_paths)
+        grid = np.zeros(shape[0] * n_paths, dtype=np.intp)
+        grid[cells] = nodes
+        cells = np.array(cells)
+        rounds.append(_Round(np.array(nodes), grid, cells, cells - n_paths, np.array(head),
+                             np.array(above), shape, light))
+    return rounds
+
+
+def _scan(rounds: list[_Round], log_gamma, shifted, up, log_p0) -> None:
+    """The upward pass by heavy-path scan, and the downward pass from it.
+
+    Along a path v_0 (head) .. v_{L-1}, with b_k node k's shifted row
+    before its heavy child's message is added and g_k = log gamma, the
+    recursion up_k = log(e^g_k + e^(b_k + up_{k+1})) has the closed form
+    up_k = S_k + A_k, S_k = sum_{i >= k} b_i, A_k = LSE_{j >= k} (g_j -
+    S_j), over k = 0 .. L with the sentinel b_L = g_L = 0 (up_L = 0): one
+    cumsum and one np.logaddexp.accumulate over a round's grid. The sum
+    along the path of log P(v_i unmastered | parent unmastered, data) =
+    b_i + up_{i+1} - up_i telescopes to A_{m+1} - A_0 at v_m; each round
+    writes that into log_p0, and the rounds, root's path first, then add
+    their heads' parents' rows (row V, above the root, is 0)."""
+    width = shifted.shape[1]
+    for r in rounds:
+        if r.shape is None:
+            b = shifted[r.nodes]
+            u = np.logaddexp(log_gamma[r.nodes], b)
+            up[r.nodes] = u
+            log_p0[r.nodes] = b - u
+        else:
+            s = shifted.take(r.grid, axis=0).reshape(*r.shape, width)
+            s[0] = 0.0
+            np.cumsum(s, axis=0, out=s)
+            t = log_gamma.take(r.grid, axis=0).reshape(*r.shape, -1)
+            t[0] = 0.0
+            a = np.logaddexp.accumulate(t - s, axis=0)
+            s += a
+            up[r.nodes] = s.reshape(-1, width).take(r.cells, axis=0)
+            a = a.reshape(-1, width)
+            log_p0[r.nodes] = a.take(r.below, axis=0) - a.take(r.head, axis=0)
+        if r.light is not None:
+            r.light.add(shifted, up)
+    for r in rounds[-2::-1]:
+        log_p0[r.nodes] += log_p0[r.above]
 
 
 class KernelPlan:
@@ -279,17 +262,15 @@ class KernelPlan:
 
     Index V stands for "above the root" and is its own ancestor. parent:
     each node's parent index (V for the root). levels: the upward pass one
-    tree level at a time, leaves first. upward: of levels and heavy-path
-    contraction (_path_schedule, about 2 log2(depth) steps on a deep
-    tree), the schedule with fewer steps; work: the rows contraction
-    starts from, None with levels. jumps: per pointer-doubling step k of
-    the downward pass, the 2**k-th ancestor of each node; there are
-    ceil(log2 depth) steps. slots: (leaf, difficulty, correct) -> its flat
-    cell in a [V, 6] column of packed counts.
-
-    Each upward step's run(log_gamma, shifted, up, p, q) updates the
-    kernel's shifted and up rows, and contraction's work rows p and q, in
-    place."""
+    tree level at a time, leaves first; each step's run(log_gamma, shifted,
+    up, scratch) updates the kernel's shifted and up rows in place. jumps:
+    per pointer-doubling step k of the downward pass after levels, the
+    2**k-th ancestor of each node; there are ceil(log2 depth) steps. scan:
+    the rounds of the heavy-path scan (_scan_rounds), which does both
+    passes, where it makes fewer numpy calls than levels (four or more
+    levels a round, as on a deep tree), else None. slots: (leaf,
+    difficulty, correct) -> its flat cell in a [V, 6] column of packed
+    counts."""
 
     def __init__(self, tree: ConceptTree):
         order, bounds = [tree.root], [(0, 1)]
@@ -311,9 +292,10 @@ class KernelPlan:
             incidence[self.parent[a:b] - pa, np.arange(b - a)] = 1.0
             levels.append(_Level(slice(a, b), slice(pa, pb), incidence))
         self.levels = levels[::-1]
-        self.upward, self.work = _path_schedule(self.parent)
-        if len(self.upward) >= len(self.levels):
-            self.upward, self.work = self.levels, None
+        # A round of paths makes about four times the numpy calls of a level.
+        self.scan = _scan_rounds(self.parent)
+        if 4 * len(self.scan) >= len(self.levels):
+            self.scan = None
         self.jumps = []
         for _ in range((len(bounds) - 1).bit_length()):
             self.jumps.append(ancestor[:above])
@@ -458,12 +440,14 @@ def batch_posteriors(
 
     A mastered node forces its subtree, so its upward message lb1 is a sum
     of log-emissions and only the message bt0 to an unmastered parent needs
-    a log-sum-exp; both are kept relative to lb1. The upward pass runs on
-    plan.upward for a call narrower than _NARROW columns and on plan.levels
-    otherwise. The downward pass runs on conditional probabilities (Durand,
-    Goncalves & Guedon, IEEE TSP 2004): a node's log-probability of being
-    unmastered is a sum along its root path, which pointer doubling forms
-    in ceil(log2 depth) steps.
+    a log-sum-exp; both are kept relative to lb1. The downward pass runs on
+    conditional probabilities (Durand, Goncalves & Guedon, IEEE TSP 2004):
+    a node's log-probability of being unmastered is a sum along its root
+    path. A call narrower than _NARROW columns on a tree with plan.scan
+    does both passes by heavy-path scan (_scan), a constant number of
+    array calls per round of heavy paths. Otherwise the upward pass goes
+    one level at a time (plan.levels) and pointer doubling forms the root
+    path sums in ceil(log2 depth) steps.
     """
     plan = kernel_plan(tree)
     if isinstance(params, Parameters):
@@ -480,19 +464,22 @@ def batch_posteriors(
     shifted += log1m_gamma
     up = np.empty_like(shifted)
     width = shifted.shape[1]
-    steps, work = (plan.upward, plan.work) if width < _NARROW else (plan.levels, None)
-    p, q = (None, None) if work is None else work.repeat(width, axis=2)
-    for step in steps:
-        step.run(log_gamma, shifted, up, p, q)
-    # log P(v unmastered) sums log P(u unmastered | parent unmastered, data)
-    # = shifted - up over v and its ancestors; each is <= 0 exactly. Row V,
-    # above the root, stays 0. After doubling step k a node's row holds the
-    # sum over the node and its 2**(k+1) - 1 nearest ancestors.
-    buf = np.empty((len(plan.order) + 1, width))
+    # log P(v unmastered) in rows 0 .. V - 1; row V, above the root, is 0.
+    buf = np.empty((v + 1, width))
     buf[-1] = 0.0
-    log_p0 = np.subtract(shifted, up, out=buf[:-1])
-    for jump in plan.jumps:
-        log_p0 += buf.take(jump, axis=0)  # a copy: every row reads step k - 1
+    log_p0 = buf[:-1]
+    if width < _NARROW and plan.scan is not None:
+        _scan(plan.scan, log_gamma, shifted, up, buf)
+    else:
+        scratch = None if width < _NARROW else buf  # free until the downward pass
+        for level in plan.levels:
+            level.run(log_gamma, shifted, up, scratch)
+        # Each term shifted - up = log P(u unmastered | parent unmastered,
+        # data) is <= 0 exactly. After doubling step k a node's row holds
+        # the sum over the node and its 2**(k+1) - 1 nearest ancestors.
+        np.subtract(shifted, up, out=log_p0)
+        for jump in plan.jumps:
+            log_p0 += buf.take(jump, axis=0)  # a copy: every row reads step k - 1
     return BatchPosteriors(plan, -np.expm1(log_p0), buf, log_gamma, up, log_e1, counts)
 
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from treekt import default_parameters, load_tree, serialize_tree
+from treekt import cli
 from treekt.cli import main
 from treekt.evaluate import ExperimentConfig, records_to_csv, run_experiment
 from treekt.online import load_stream, serialize_predictions, serialize_stream
@@ -211,6 +212,20 @@ class TestOracleCheck:
             "--seed", "0",
         ]) == 1
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--instances", "-1"), ("--max-nodes", "1"), ("--max-nodes", "0"),
+        ("--max-nodes", "21"), ("--max-nodes", "25"),
+    ])
+    def test_bound_it_cannot_honour_exits_one_before_any_instance(
+            self, monkeypatch, capsys, flag, value):
+        def unreachable(*args):
+            raise AssertionError("an instance ran")
+        monkeypatch.setattr(cli, "posteriors", unreachable)
+        assert main(["oracle-check", flag, value, "--seed", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {flag} {value}: ")
+        assert captured.out == ""
+
 
 class TestOptionLayering:
     def test_flag_beats_config_beats_env(self, tmp_path, tree_file, monkeypatch):
@@ -306,6 +321,45 @@ class TestMaxIters:
         assert f"--max-iters {value}" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+
+class TestThresholdAndTol:
+    @pytest.mark.parametrize("command, name, value", [
+        ("eval", "threshold", "nan"), ("eval", "threshold", "1.5"),
+        ("eval", "threshold", "-1"), ("eval", "tol", "nan"), ("eval", "tol", "-0.001"),
+        ("fit", "tol", "nan"), ("fit", "tol", "-1"),
+    ])
+    @pytest.mark.parametrize("source", ["flag", "config", "env"])
+    def test_meaningless_value_exits_one_before_loading(
+            self, tmp_path, monkeypatch, capsys, command, name, value, source):
+        # The stream does not exist: reading it would exit 2.
+        argv = [command, "--tree", str(tmp_path / "tree.json"),
+                "--stream", str(tmp_path / "missing.jsonl"),
+                "--out", str(tmp_path / "out")]
+        if source == "flag":
+            argv += [f"--{name}", value]
+        elif source == "config":
+            config = tmp_path / "opts.cfg"
+            config.write_text(f"{name} = {value}\n")
+            argv += ["--config", str(config)]
+        else:
+            monkeypatch.setenv(f"TREEKT_{name.upper()}", value)
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: --{name} {float(value)}: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--tol", "0"), ("--threshold", "0"), ("--threshold", "1"),
+    ])
+    def test_edge_values_stay_valid(self, tmp_path, capsys, flag, value):
+        code = main(["eval", "--tree", str(tmp_path / "tree.json"),
+                     "--stream", str(tmp_path / "missing.jsonl"),
+                     "--out", str(tmp_path / "out"), flag, value])
+        assert code == 2  # past the check, failing only on the missing file
+        assert "No such file" in capsys.readouterr().err
 
 
 class TestEvalBoundary:

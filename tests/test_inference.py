@@ -24,7 +24,7 @@ from treekt.inference import (
     kernel_plan,
     pack_counts,
     _NARROW,
-    _path_schedule,
+    _scan_rounds,
 )
 from treekt.model import emission_prob, transition_prob
 from treekt.simulate import random_tree
@@ -203,7 +203,8 @@ class TestBatchKernel:
         rng = np.random.default_rng(n_nodes)
         tree = shaped_tree(shape, n_nodes, rng)
         params = random_parameters(tree, rng)
-        # A batch this wide runs plan.levels, each column alone plan.upward.
+        # A batch this wide runs plan.levels, each column alone plan.scan
+        # where the tree has one.
         counts = pack_counts(
             tree, [random_observations(tree, rng, max_obs=60) for _ in range(_NARROW + 4)]
         )
@@ -317,33 +318,43 @@ def log_enumeration(tree, params, obs):
 
 class TestFarOutOfRange:
     """Thousands of responses at the deepest leaf put the messages along its
-    heavy path near +-1e4, where exp of a raw message overflows."""
+    heavy path near +-1e4, where exp of a raw message overflows. Each oracle
+    test runs narrow (three columns: the heavy-path scan where the tree has
+    one) and wide (the same histories cycled to _NARROW columns:
+    plan.levels with the vectorized log-sum-exp)."""
 
     @staticmethod
-    def histories(leaf):
+    def histories(leaf, n=5000):
+        half = n * 3 // 5
         return [
-            [Interaction(f"w{i}", leaf, Difficulty.EASY, 0) for i in range(5000)],
-            [Interaction(f"c{i}", leaf, Difficulty.EASY, 1) for i in range(5000)],
-            [Interaction(f"m{i}", leaf, Difficulty.EASY, i % 2) for i in range(3000)]
-            + [Interaction(f"h{i}", leaf, Difficulty.HARD, 0) for i in range(3000)],
+            [Interaction(f"w{i}", leaf, Difficulty.EASY, 0) for i in range(n)],
+            [Interaction(f"c{i}", leaf, Difficulty.EASY, 1) for i in range(n)],
+            [Interaction(f"m{i}", leaf, Difficulty.EASY, i % 2) for i in range(half)]
+            + [Interaction(f"h{i}", leaf, Difficulty.HARD, 0) for i in range(half)],
         ]
+
+    @staticmethod
+    def packed(tree, histories, width):
+        """Counts of the histories, cycled to width columns."""
+        return pack_counts(tree, (histories * width)[:width])
 
     @staticmethod
     def assert_finite(result):
         for values in (result.marginal, result.cells, result.log_likelihood):
             assert np.all(np.isfinite(values))
 
-    @pytest.mark.parametrize("depth", [5, 101])
-    def test_chain_matches_state_enumeration(self, depth):
+    def check_chain(self, depth, wide):
         tree = chain_tree(depth)
         params = random_parameters(tree, np.random.default_rng(depth))
         histories = self.histories(f"n{depth - 1}")
         log_ratio = math.log(1 - params.epsilon) - math.log(1 - params.r_easy)
         assert 5000 * log_ratio > 1000  # exp of the leaf's message overflows
-        result = batch_posteriors(tree, params, pack_counts(tree, histories))
+        width = _NARROW if wide else len(histories)
+        result = batch_posteriors(tree, params, self.packed(tree, histories, width))
         self.assert_finite(result)
-        for column, history in enumerate(histories):
-            marginal, cells, log_z = chain_oracle(depth, params, history)
+        for column in range(width):
+            marginal, cells, log_z = chain_oracle(depth, params,
+                                                  histories[column % len(histories)])
             belief = BeliefTable(result, column)
             assert abs(belief.log_likelihood - log_z) <= 1e-10
             for i in range(depth):
@@ -353,17 +364,20 @@ class TestFarOutOfRange:
                     got = (pair[(0, 0)], pair[(1, 0)], pair[(1, 1)])
                     assert max(map(abs, np.subtract(got, cells[i]))) <= 1e-10
 
-    def test_caterpillar_matches_log_enumeration(self):
+    def check_caterpillar(self, wide):
         tree = caterpillar_tree(6)
         plan = kernel_plan(tree)
-        assert len(plan.upward) < len(plan.levels)  # heavy-path contraction
+        assert plan.scan is None  # too shallow to choose the scan: force it
+        plan.scan = _scan_rounds(plan.parent)
         params = random_parameters(tree, np.random.default_rng(6))
         histories = self.histories("l5")
-        result = batch_posteriors(tree, params, pack_counts(tree, histories))
+        width = _NARROW if wide else len(histories)
+        result = batch_posteriors(tree, params, self.packed(tree, histories, width))
         self.assert_finite(result)
-        for column, history in enumerate(histories):
-            marginal, pairwise, log_z = log_enumeration(
-                tree, params, observation_set(tree, history))
+        oracles = [log_enumeration(tree, params, observation_set(tree, history))
+                   for history in histories]
+        for column in range(width):
+            marginal, pairwise, log_z = oracles[column % len(histories)]
             belief = BeliefTable(result, column)
             assert abs(belief.log_likelihood - log_z) <= 1e-10
             for node in tree.nodes:
@@ -372,12 +386,50 @@ class TestFarOutOfRange:
                     for cell, value in pairwise[node].items():
                         assert abs(belief.pairwise[node][cell] - value) <= 1e-10
 
+    @pytest.mark.parametrize("depth", [5, 101])
+    def test_chain_matches_state_enumeration(self, depth):
+        assert kernel_plan(chain_tree(depth)).scan is not None
+        self.check_chain(depth, wide=False)
+
+    @pytest.mark.parametrize("depth", [5, 101])
+    def test_wide_chain_matches_state_enumeration(self, depth):
+        self.check_chain(depth, wide=True)
+
+    def test_caterpillar_matches_log_enumeration(self):
+        self.check_caterpillar(wide=False)
+
+    def test_wide_caterpillar_matches_log_enumeration(self):
+        self.check_caterpillar(wide=True)
+
+    @pytest.mark.parametrize("n", [5000, 20000])
+    def test_deep_caterpillar_scan_agrees_with_levels(self, n):
+        # The scan's up = S + A cancels two sums of thousands of responses.
+        tree = caterpillar_tree(100)
+        assert kernel_plan(tree).scan is not None
+        params = random_parameters(tree, np.random.default_rng(n))
+        counts = self.packed(tree, self.histories("l99", n), _NARROW + 4)
+        wide = batch_posteriors(tree, params, counts)
+        self.assert_finite(wide)
+        for s in range(3):  # all wrong, all correct, mixed
+            one = batch_posteriors(tree, params, counts[:, :, s:s + 1].copy())
+            self.assert_finite(one)
+            for got, want in [(one.marginal, wide.marginal[:, s:s + 1]),
+                              (one.cells, wide.cells[:, :, s:s + 1]),
+                              (one.log_likelihood, wide.log_likelihood[s:s + 1])]:
+                np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
+
 
 class TestUpwardSchedule:
-    def test_caterpillar_contracts_in_log_depth_steps(self):
+    def test_caterpillar_scans_in_two_rounds(self):
         plan = kernel_plan(caterpillar_tree(100))
         assert len(plan.levels) == 101
-        assert len(plan.upward) <= 2 * math.ceil(math.log2(101)) + 2
+        # The 99 light leaves, then the root's path of 100 spine nodes and
+        # the last leaf, one column of 101 nodes over the sentinel row.
+        assert len(plan.scan) == 2
+        leaves, spine = plan.scan
+        assert leaves.shape is None and len(leaves.nodes) == 99
+        assert spine.shape == (102, 1) and len(spine.nodes) == 101
+        assert list(spine.nodes[:-1]) == [plan.index[f"c{i}"] for i in range(100)]
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -385,14 +437,14 @@ class TestUpwardSchedule:
         n_nodes=st.integers(2, 12),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_contraction_on_any_tree_matches_enumeration(self, shape, n_nodes, seed):
-        # Run every tree through heavy-path contraction, also trees where
-        # the plan keeps levels: paths of mixed lengths per round, several
+    def test_scan_on_any_tree_matches_enumeration(self, shape, n_nodes, seed):
+        # Run every tree through the heavy-path scan, also trees where the
+        # plan keeps levels: paths of mixed lengths per round, several
         # light children per parent.
         rng = np.random.default_rng(seed)
         tree = shaped_tree(shape, n_nodes, rng)
         plan = kernel_plan(tree)
-        plan.upward, plan.work = _path_schedule(plan.parent)
+        plan.scan = _scan_rounds(plan.parent)
         params = random_parameters(tree, rng)
         sets = [random_observations(tree, rng) for _ in range(3)]
         result = batch_posteriors(tree, params, pack_counts(tree, sets))
@@ -414,7 +466,7 @@ class TestUpwardSchedule:
     def test_shallow_trees_take_no_more_steps_than_levels(self, tree):
         plan = kernel_plan(tree)
         assert len(plan.levels) == tree.depth()
-        assert len(plan.upward) <= len(plan.levels)
+        assert plan.scan is None  # narrow calls keep levels too
 
 
 class TestSlotPacker:

@@ -82,9 +82,8 @@ def observation_set(
 #: plan.levels. A narrow call's time is mostly numpy call overhead (about
 #: 1 us a call), of which the scan makes a fixed number per round of heavy
 #: paths; a wide call's is mostly element work, of which a level schedule
-#: does the least. Wide calls also take their log-sum-exp from vectorized
-#: ufuncs (about 4.5 ns an element against 40 ns for np.logaddexp, but six
-#: calls instead of one).
+#: does the least. Levels take their log-sum-exp from vectorized ufuncs
+#: (about 4.5 ns an element against 40 ns for np.logaddexp).
 _NARROW = 16
 
 
@@ -116,34 +115,31 @@ class _Level(NamedTuple):
     incidence: np.ndarray | None
 
     def run(self, log_gamma, shifted, up, scratch) -> None:
-        """scratch: None for np.logaddexp, or rows [at least the level,
-        columns] for max(a, b) + log1p(e^(min(a, b) - max(a, b)))."""
+        """scratch: rows [at least the level, columns] for the log-sum-exp
+        max(a, b) + log1p(e^(min(a, b) - max(a, b)))."""
         here, above, incidence = self
         level_up = up[here]
-        if scratch is None:
-            np.logaddexp(log_gamma[here], shifted[here], out=level_up)
-        else:
-            a, b, low = log_gamma[here], shifted[here], scratch[:len(level_up)]
-            np.maximum(a, b, out=level_up)
-            np.minimum(a, b, out=low)
-            low -= level_up
-            np.exp(low, out=low)
-            np.log1p(low, out=low)
-            level_up += low
+        a, b, low = log_gamma[here], shifted[here], scratch[:len(level_up)]
+        np.maximum(a, b, out=level_up)
+        np.minimum(a, b, out=low)
+        low -= level_up
+        np.exp(low, out=low)
+        np.log1p(low, out=low)
+        level_up += low
         if incidence is not None:
             parents = shifted[above]
             np.add(parents, incidence.dot(level_up), out=parents)
 
 
 class _Round(NamedTuple):
-    """One round of heavy paths on a grid of [rows, paths] cells, each path
+    """Heavy paths run together on a grid of [rows, paths] cells, each path
     bottom-up in its column: row 0 is the sentinel below every path's last
     node, row r the path's r-th node from its end; rows above a head are
-    padding that nothing reads. grid: the node of each flat cell (0 for
-    the sentinel and padding). Per path node: its flat cell, the cell
-    below it and its head's cell, and its head's parent (V for the root's
-    path). A round of one-node paths has no grid: shape, grid, cells,
-    below and head are None."""
+    padding that nothing reads. grid: the node of each cell (0 for the
+    sentinel and padding). Per path node: its flat cell, the cell below it
+    and its head's cell, and its head's parent (V for the root's path). A
+    round of one-node paths has no grid: grid, cells, below and head are
+    None."""
 
     nodes: np.ndarray
     grid: np.ndarray | None
@@ -151,7 +147,6 @@ class _Round(NamedTuple):
     below: np.ndarray | None
     head: np.ndarray | None
     above: np.ndarray
-    shape: tuple[int, int] | None
     light: _Light | None
 
 
@@ -168,14 +163,38 @@ def _light(parent: np.ndarray, heads: Sequence[int]) -> _Light | None:
     return _Light(np.array(heads), np.array(parents), incidence)
 
 
+def _round(parent: np.ndarray, paths: list[list[int]]) -> _Round:
+    """One round over paths, each listed head first."""
+    heads = [path[0] for path in paths]
+    light = _light(parent, heads)
+    if all(len(path) == 1 for path in paths):
+        return _Round(np.array(heads), None, None, None, None, parent[heads], light)
+    n_paths = len(paths)
+    nodes, cells, head, above = [], [], [], []
+    for p, path in enumerate(paths):
+        length = len(path)
+        nodes += path
+        cells += [(length - k) * n_paths + p for k in range(length)]
+        head += [length * n_paths + p] * length
+        above += [parent[path[0]]] * length
+    grid = np.zeros((1 + max(map(len, paths)), n_paths), dtype=np.intp)
+    grid.flat[cells] = nodes
+    cells = np.array(cells)
+    return _Round(np.array(nodes), grid, cells, cells - n_paths, np.array(head),
+                  np.array(above), light)
+
+
 def _scan_rounds(parent: np.ndarray) -> list[_Round]:
     """The rounds of the heavy-path scan, leaves first.
 
     A node's heavy child is its child with the largest subtree; heavy paths
     run from the root and from each light child down heavy children. A
-    path's round is one more than the largest round of its nodes' light
+    path's rank is one more than the largest rank of its nodes' light
     children, so those have finished when it starts; the root's path is
-    alone in the last round.
+    alone in the last rank. The paths of a rank whose lengths have the same
+    bit length share a round, so a grid has at most twice as many rows as
+    each of its paths has nodes, and all grids together hold at most 2V
+    cells.
     """
     n = len(parent)
     children: list[list[int]] = [[] for _ in range(n)]
@@ -197,26 +216,10 @@ def _scan_rounds(parent: np.ndarray) -> list[_Round]:
                           if c != heavy[v]), default=0)
     rounds = []
     for r in range(max(rank.values()) + 1):
-        heads = sorted(h for h in paths if rank[h] == r)
-        light = _light(parent, heads)
-        if all(len(paths[h]) == 1 for h in heads):
-            rounds.append(_Round(np.array(heads), None, None, None, None, parent[heads],
-                                 None, light))
-            continue
-        n_paths = len(heads)
-        nodes, cells, head, above = [], [], [], []
-        for p, h in enumerate(heads):
-            length = len(paths[h])
-            nodes += paths[h]
-            cells += [(length - k) * n_paths + p for k in range(length)]
-            head += [length * n_paths + p] * length
-            above += [parent[h]] * length
-        shape = (1 + max(len(paths[h]) for h in heads), n_paths)
-        grid = np.zeros(shape[0] * n_paths, dtype=np.intp)
-        grid[cells] = nodes
-        cells = np.array(cells)
-        rounds.append(_Round(np.array(nodes), grid, cells, cells - n_paths, np.array(head),
-                             np.array(above), shape, light))
+        by_bits: dict[int, list[list[int]]] = {}
+        for h in sorted(h for h in paths if rank[h] == r):
+            by_bits.setdefault(len(paths[h]).bit_length(), []).append(paths[h])
+        rounds += [_round(parent, by_bits[bits]) for bits in sorted(by_bits)]
     return rounds
 
 
@@ -235,16 +238,16 @@ def _scan(rounds: list[_Round], log_gamma, shifted, up, log_p0) -> None:
     their heads' parents' rows (row V, above the root, is 0)."""
     width = shifted.shape[1]
     for r in rounds:
-        if r.shape is None:
+        if r.grid is None:
             b = shifted[r.nodes]
             u = np.logaddexp(log_gamma[r.nodes], b)
             up[r.nodes] = u
             log_p0[r.nodes] = b - u
         else:
-            s = shifted.take(r.grid, axis=0).reshape(*r.shape, width)
+            s = shifted.take(r.grid, axis=0)
             s[0] = 0.0
             np.cumsum(s, axis=0, out=s)
-            t = log_gamma.take(r.grid, axis=0).reshape(*r.shape, -1)
+            t = log_gamma.take(r.grid, axis=0)
             t[0] = 0.0
             a = np.logaddexp.accumulate(t - s, axis=0)
             s += a
@@ -267,10 +270,9 @@ class KernelPlan:
     per pointer-doubling step k of the downward pass after levels, the
     2**k-th ancestor of each node; there are ceil(log2 depth) steps. scan:
     the rounds of the heavy-path scan (_scan_rounds), which does both
-    passes, where it makes fewer numpy calls than levels (four or more
-    levels a round, as on a deep tree), else None. slots: (leaf,
-    difficulty, correct) -> its flat cell in a [V, 6] column of packed
-    counts."""
+    passes, where its cost count rates it faster than levels and jumps (as
+    on a deep tree), else None. slots: (leaf, difficulty, correct) -> its
+    flat cell in a [V, 6] column of packed counts."""
 
     def __init__(self, tree: ConceptTree):
         order, bounds = [tree.root], [(0, 1)]
@@ -292,14 +294,18 @@ class KernelPlan:
             incidence[self.parent[a:b] - pa, np.arange(b - a)] = 1.0
             levels.append(_Level(slice(a, b), slice(pa, pb), incidence))
         self.levels = levels[::-1]
-        # A round of paths makes about four times the numpy calls of a level.
-        self.scan = _scan_rounds(self.parent)
-        if 4 * len(self.scan) >= len(self.levels):
-            self.scan = None
         self.jumps = []
         for _ in range((len(bounds) - 1).bit_length()):
             self.jumps.append(ancestor[:above])
             ancestor = ancestor[ancestor]
+        # The scan's time on a narrow call, counted in levels or doubling
+        # steps: about 4 a grid round, 3 a round of one-node paths and 1 per
+        # 16 grid cells, fit to timings at 1, 4 and 15 columns of random,
+        # chain, caterpillar, star and broom trees of 5 to 2 501 nodes.
+        self.scan = _scan_rounds(self.parent)
+        cost = sum(3 if r.grid is None else 4 + r.grid.size / 16 for r in self.scan)
+        if cost >= len(self.levels) + len(self.jumps):
+            self.scan = None
         self.slots = {
             (node, difficulty, correct): v * len(CELL_KEYS) + k
             for v, node in enumerate(order) if tree.is_leaf(node)
@@ -471,9 +477,8 @@ def batch_posteriors(
     if width < _NARROW and plan.scan is not None:
         _scan(plan.scan, log_gamma, shifted, up, buf)
     else:
-        scratch = None if width < _NARROW else buf  # free until the downward pass
         for level in plan.levels:
-            level.run(log_gamma, shifted, up, scratch)
+            level.run(log_gamma, shifted, up, buf)  # free until the downward pass
         # Each term shifted - up = log P(u unmastered | parent unmastered,
         # data) is <= 0 exactly. After doubling step k a node's row holds
         # the sum over the node and its 2**(k+1) - 1 nearest ancestors.

@@ -10,6 +10,7 @@ from treekt import (
     Interaction,
     Parameters,
     brute_force_posteriors,
+    build_tree,
     log_likelihood,
     observation_set,
     posteriors,
@@ -156,6 +157,16 @@ class TestOracleAgreement:
             assert log_likelihood(tree, params, obs) == pytest.approx(
                 posteriors(tree, params, obs).log_likelihood, abs=1e-12
             )
+
+
+def two_chains_tree(chain, leaves):
+    """A root with two chains of chain nodes and leaves leaf children."""
+    entries = [("r", "r", None)]
+    for side in "ab":
+        entries += [(f"{side}{i}", f"{side}{i}", f"{side}{i - 1}" if i else "r")
+                    for i in range(chain)]
+    entries += [(f"l{i}", f"l{i}", "r") for i in range(leaves)]
+    return build_tree(entries)
 
 
 def shaped_tree(shape, n_nodes, rng):
@@ -367,8 +378,7 @@ class TestFarOutOfRange:
     def check_caterpillar(self, wide):
         tree = caterpillar_tree(6)
         plan = kernel_plan(tree)
-        assert plan.scan is None  # too shallow to choose the scan: force it
-        plan.scan = _scan_rounds(plan.parent)
+        assert plan.scan is not None
         params = random_parameters(tree, np.random.default_rng(6))
         histories = self.histories("l5")
         width = _NARROW if wide else len(histories)
@@ -427,8 +437,8 @@ class TestUpwardSchedule:
         # the last leaf, one column of 101 nodes over the sentinel row.
         assert len(plan.scan) == 2
         leaves, spine = plan.scan
-        assert leaves.shape is None and len(leaves.nodes) == 99
-        assert spine.shape == (102, 1) and len(spine.nodes) == 101
+        assert leaves.grid is None and len(leaves.nodes) == 99
+        assert spine.grid.shape == (102, 1) and len(spine.nodes) == 101
         assert list(spine.nodes[:-1]) == [plan.index[f"c{i}"] for i in range(100)]
 
     @settings(max_examples=60, deadline=None)
@@ -457,6 +467,37 @@ class TestUpwardSchedule:
                 if node != tree.root:
                     for cell, value in oracle.pairwise[node].items():
                         assert abs(belief.pairwise[node][cell] - value) <= 1e-10
+
+    @pytest.mark.parametrize("tree", [
+        two_chains_tree(1000, 500),
+        two_chains_tree(30, 7),
+        *(random_tree(np.random.default_rng(seed), 400) for seed in range(5)),
+    ])
+    def test_grids_hold_fewer_than_twice_their_nodes(self, tree):
+        # Rank 0 of two_chains_tree holds a whole chain and every leaf of the
+        # root: one grid for all of them would take chain x leaves cells.
+        plan = kernel_plan(tree)
+        grids = [r for r in _scan_rounds(plan.parent) if r.grid is not None]
+        for r in grids:
+            rows, n_paths = r.grid.shape
+            assert rows <= 2 * np.bincount(r.cells % n_paths).min()
+        assert sum(r.grid.size for r in grids) < 2 * len(plan.order)
+
+    def test_two_chains_scan_in_three_rounds(self):
+        tree = two_chains_tree(1000, 500)
+        plan = kernel_plan(tree)
+        # The 500 leaves, the light chain, then the root's path.
+        assert [r.grid is None or r.grid.shape for r in plan.scan] == [
+            True, (1001, 1), (1002, 1)]
+        rng = np.random.default_rng(1000)
+        params = random_parameters(tree, rng)
+        histories = [random_observations(tree, rng, max_obs=200) for _ in range(3)]
+        wide = batch_posteriors(tree, params, pack_counts(tree, histories * _NARROW))
+        narrow = batch_posteriors(tree, params, pack_counts(tree, histories))
+        for got, want in [(narrow.marginal, wide.marginal[:, :3]),
+                          (narrow.cells, wide.cells[:, :, :3]),
+                          (narrow.log_likelihood, wide.log_likelihood[:3])]:
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
 
     @pytest.mark.parametrize("tree", [
         *(star_tree(n) for n in (1, 5, 24)),

@@ -20,9 +20,10 @@ import numpy as np
 
 from . import __version__
 from .evaluate import ExperimentConfig, csv_lines, run_experiment
-from .inference import Interaction, observation_set, posteriors
+from .em import fit
+from .inference import Interaction, observation_set, pack_counts, posteriors
 from .model import Parameters, default_parameters
-from .online import StreamFormatError, burn_in_fit, load_stream, prediction_lines
+from .online import StreamFormatError, load_stream, prediction_lines
 from .simulate import (
     ENUMERATION_LIMIT,
     SimConfig,
@@ -121,7 +122,7 @@ def cmd_validate_tree(args) -> int:
     try:
         tree = load_tree(args.tree)
     except TreeFormatError as exc:
-        if isinstance(exc.__cause__, json.JSONDecodeError):
+        if isinstance(exc.__cause__, (json.JSONDecodeError, UnicodeDecodeError)):
             raise  # unparseable document is an environment failure
         print(f"violation: {exc}")
         return 1
@@ -132,15 +133,17 @@ def cmd_validate_tree(args) -> int:
 
 def cmd_fit(args) -> int:
     tree = load_tree(args.tree)
-    stream = load_stream(args.stream, tree)
     by_student: dict[str, list] = {}
-    for rec in stream:
-        by_student.setdefault(rec.student_id, []).append(rec.interaction())
+    for rec in load_stream(args.stream, tree):
+        by_student.setdefault(rec.student_id, []).append(rec)
     if not by_student:
         print("error: stream is empty", file=sys.stderr)
         return 1
-    report = burn_in_fit(tree, by_student, max_iters=args.max_iters,
-                         tol=args.tol).fit_report
+    # Records carry the kc, difficulty and correct that packing reads, so
+    # they go to counts as they are, in student-id order.
+    counts = pack_counts(tree, [by_student[sid] for sid in sorted(by_student)])
+    report = fit(tree, counts, default_parameters(tree), max_iters=args.max_iters,
+                 tol=args.tol)
     out = Path(args.out)
     _write(out / "params.json", report.params.to_json())
     _write(out / "fit_report.json", report.to_json())

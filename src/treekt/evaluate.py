@@ -130,10 +130,6 @@ def csv_lines(records: Iterable[PredictionRecord]) -> Iterator[str]:
                                r.actual, r.seq])
 
 
-def records_to_csv(records: Iterable[PredictionRecord]) -> str:
-    return "".join(csv_lines(records))
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     burn_in_count: int = 10

@@ -337,8 +337,10 @@ def _slot_error(tree: ConceptTree, it: Interaction) -> InferenceError:
 
 
 def cell_slots(tree: ConceptTree, interactions: Collection[Interaction]) -> list[int]:
-    """Each response's flat cell in a [V, 6] column of packed counts.
-    Raises InferenceError for a response outside the tree's leaves."""
+    """Each response's flat cell in a [V, 6] column of packed counts. A
+    response is anything with kc, difficulty and correct, such as an
+    Interaction or an online.StreamRecord. Raises InferenceError for a
+    response outside the tree's leaves."""
     slots = kernel_plan(tree).slots
     try:
         return [slots[it.kc, it.difficulty, it.correct] for it in interactions]
@@ -352,8 +354,10 @@ def cell_slots(tree: ConceptTree, interactions: Collection[Interaction]) -> list
 def pack_counts(
     tree: ConceptTree, histories: Sequence[Collection[Interaction]]
 ) -> np.ndarray:
-    """Response counts of each history (interactions or an ObservationSet),
-    one column each, as [V, 6, S], through the tree's slot table."""
+    """Response counts of each history, one column each, as [V, 6, S],
+    through the tree's slot table. A history is an ObservationSet or a
+    collection of anything with kc, difficulty and correct (see
+    cell_slots)."""
     plan = kernel_plan(tree)
     n = len(histories)
     counts = np.zeros((len(plan.order), len(CELL_KEYS), n))

@@ -44,7 +44,7 @@ from .inference import (
     pack_counts,
 )
 from .model import Parameters, default_parameters
-from .tree import ConceptTree, Difficulty, QuestionMeta
+from .tree import ConceptTree, Difficulty, QuestionMeta, utf8_line
 
 #: Cells (targets x pool columns x nodes) of one slab of one-step updates.
 #: It bounds the memory of a round whatever the pool's size, and, being
@@ -336,29 +336,55 @@ class StreamFormatError(ValueError):
 _STREAM_FIELDS = {"student_id": str, "question_id": str, "kc_id": str,
                   "difficulty": str, "correct": int, "seq": int}
 
+#: Each Difficulty by its value; a miss goes to Difficulty(), whose error
+#: names the value.
+_DIFFICULTY = {d.value: d for d in Difficulty}
+
+#: Decodes the JSON value at the start of a string, without json.loads'
+#: whitespace and end checks.
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _json_line(line: str):
+    """The JSON value of one stream line. A line that raw_decode takes
+    whole needs nothing more; any other goes to json.loads, which accepts
+    it padded with JSON whitespace or raises json's own error."""
+    try:
+        value, end = _raw_decode(line)
+        if end == len(line):
+            return value
+    except ValueError:
+        pass
+    return json.loads(line)
+
 
 def _stream_record(raw) -> StreamRecord:
-    if not isinstance(raw, dict):
+    # Decoded JSON values have exact types, so `type(...) is` rejects what
+    # isinstance would, bool (an int subclass) included.
+    if type(raw) is not dict:
         raise TypeError(f"expected a JSON object, got {type(raw).__name__}")
     for key, kind in _STREAM_FIELDS.items():
         value = raw[key]
-        if not isinstance(value, kind) or isinstance(value, bool):
+        if type(value) is not kind:
             kind_name = "a string" if kind is str else "an integer"
             raise TypeError(f"{key} must be {kind_name}, got {value!r}")
     if raw["correct"] not in (0, 1):
         raise ValueError(f"correct must be 0 or 1, got {raw['correct']!r}")
+    difficulty = _DIFFICULTY.get(raw["difficulty"]) or Difficulty(raw["difficulty"])
     return StreamRecord(raw["student_id"], raw["question_id"], raw["kc_id"],
-                        Difficulty(raw["difficulty"]), raw["correct"], raw["seq"])
+                        difficulty, raw["correct"], raw["seq"])
 
 
 def parse_stream(
     document: str, source: str = "<stream>", tree: ConceptTree | None = None
 ) -> list[StreamRecord]:
     """Parse JSON-lines stream records; source names the document in errors.
-    Replay follows each student's seq order, so a student's seq must
-    increase strictly from each of their lines to the next. Given a tree,
-    a kc_id that is not one of its leaves raises InferenceError (a domain
-    failure, not a format error) naming the line."""
+    Each nonblank line is one JSON object with the keys of _STREAM_FIELDS,
+    decoded once and checked field by field in that order. Replay follows
+    each student's seq order, so a student's seq must increase strictly
+    from each of their lines to the next. Given a tree, a kc_id that is not
+    one of its leaves raises InferenceError (a domain failure, not a format
+    error) naming the line."""
     records = []
     last: dict[str, tuple[int, int]] = {}
     leaves = None if tree is None else frozenset(tree.leaves())
@@ -366,7 +392,7 @@ def parse_stream(
         if not line.strip():
             continue
         try:
-            record = _stream_record(json.loads(line))
+            record = _stream_record(_json_line(line))
         except (KeyError, ValueError, TypeError) as exc:
             detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
             raise StreamFormatError(
@@ -402,8 +428,16 @@ def serialize_stream(records: Iterable[StreamRecord]) -> str:
 
 
 def load_stream(path: str, tree: ConceptTree | None = None) -> list[StreamRecord]:
+    """parse_stream on a file; bytes that are not UTF-8 raise
+    StreamFormatError naming the file and their line."""
     with open(path, encoding="utf-8") as fh:
-        return parse_stream(fh.read(), source=path, tree=tree)
+        try:
+            document = fh.read()
+        except UnicodeDecodeError as exc:
+            line = utf8_line(exc)
+            raise StreamFormatError(
+                f"{path}:{line}: not UTF-8 text on line {line}: {exc}") from exc
+    return parse_stream(document, source=path, tree=tree)
 
 
 def prediction_lines(records: Iterable[PredictionRecord]) -> Iterator[str]:
@@ -419,10 +453,6 @@ def prediction_lines(records: Iterable[PredictionRecord]) -> Iterator[str]:
             },
             sort_keys=True,
         ) + "\n"
-
-
-def serialize_predictions(records: Iterable[PredictionRecord]) -> str:
-    return "".join(prediction_lines(records))
 
 
 def split_burn_in(

@@ -11,7 +11,6 @@ identical under any parallelization.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import math
@@ -62,6 +61,9 @@ class GroundTruth:
 
 
 def derive_seed(master_seed: int, student_id: str) -> int:
+    # Imported here: hashlib loads OpenSSL, which no other treekt path needs.
+    import hashlib
+
     digest = hashlib.sha256(f"{master_seed}:{student_id}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 

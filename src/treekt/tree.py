@@ -199,12 +199,26 @@ def _named(path: str) -> Iterator[None]:
         raise
 
 
+def utf8_line(exc: UnicodeDecodeError) -> int:
+    """The line of a file read whole that holds its first byte that is not
+    UTF-8: one plus the newlines before that byte."""
+    return exc.object.count(b"\n", 0, exc.start) + 1
+
+
+def _read(path: str) -> str:
+    """A tree or question file's text; bytes that are not UTF-8 raise
+    TreeFormatError naming their line."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise TreeFormatError(f"line {utf8_line(exc)}: not UTF-8 text: {exc}") from exc
+
+
 def load_tree(path: str) -> ConceptTree:
     """parse_tree on a file; every TreeFormatError starts with the path."""
-    with open(path, encoding="utf-8") as fh:
-        document = fh.read()
     with _named(path):
-        return parse_tree(document)
+        return parse_tree(_read(path))
 
 
 def validate_tree(tree: ConceptTree) -> ValidationReport:
@@ -408,10 +422,8 @@ def parse_questions(
 
 def load_questions(path: str, tree: ConceptTree, **kwargs) -> list[QuestionMeta]:
     """parse_questions on a file; every TreeFormatError starts with the path."""
-    with open(path, encoding="utf-8") as fh:
-        document = fh.read()
     with _named(path):
-        return parse_questions(document, tree, **kwargs)
+        return parse_questions(_read(path), tree, **kwargs)
 
 
 def serialize_questions(questions: Iterable[QuestionMeta]) -> str:

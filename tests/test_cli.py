@@ -12,8 +12,10 @@ from hypothesis import given, settings, strategies as st
 from treekt import default_parameters, load_tree, serialize_tree
 from treekt import cli
 from treekt.cli import main
-from treekt.evaluate import ExperimentConfig, records_to_csv, run_experiment
-from treekt.online import load_stream, serialize_predictions, serialize_stream
+from treekt.em import fit
+from treekt.evaluate import ExperimentConfig, csv_lines, run_experiment
+from treekt.inference import pack_counts
+from treekt.online import load_stream, prediction_lines, serialize_stream
 from treekt.simulate import (
     SimConfig,
     generate_classroom,
@@ -71,6 +73,12 @@ class TestValidateTree:
         path = tmp_path / "garbage.json"
         path.write_text("{{{")
         assert main(["validate-tree", "--tree", str(path)]) == 2
+
+    def test_bytes_that_are_not_utf8_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "tree.json"
+        path.write_bytes(TREE_DOC.encode() + b"\n\xff")
+        assert main(["validate-tree", "--tree", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: line 2: ")
 
     def test_bundled_example(self):
         assert main([
@@ -152,8 +160,41 @@ class TestFitAndEval:
         records = run_experiment(tree, load_stream(str(sim / "stream.jsonl"), tree),
                                  ExperimentConfig(burn_in_count=4, em_tol=1e-4)).records
         assert (out / "predictions.jsonl").read_bytes() == \
-            serialize_predictions(records).encode()
-        assert (out / "predictions.csv").read_bytes() == records_to_csv(records).encode()
+            "".join(prediction_lines(records)).encode()
+        assert (out / "predictions.csv").read_bytes() == "".join(csv_lines(records)).encode()
+
+    def test_fit_files_equal_em_fit_over_interactions(self, tmp_path):
+        sim = simulate_into(tmp_path)
+        out = tmp_path / "fit"
+        assert main(["fit", "--tree", str(sim / "tree.json"),
+                     "--stream", str(sim / "stream.jsonl"),
+                     "--out", str(out), "--max-iters", "15"]) == 0
+        tree = load_tree(str(sim / "tree.json"))
+        histories: dict[str, list] = {}
+        for rec in load_stream(str(sim / "stream.jsonl"), tree):
+            histories.setdefault(rec.student_id, []).append(rec.interaction())
+        counts = pack_counts(tree, [histories[sid] for sid in sorted(histories)])
+        report = fit(tree, counts, default_parameters(tree), max_iters=15, tol=1e-6)
+        assert (out / "params.json").read_bytes() == report.params.to_json().encode()
+        assert (out / "fit_report.json").read_bytes() == report.to_json().encode()
+
+    @pytest.mark.parametrize("command", ["fit", "eval"])
+    @pytest.mark.parametrize("bad", ["stream", "tree"])
+    def test_bytes_that_are_not_utf8_exit_two(self, tmp_path, capsys, command, bad):
+        sim = simulate_into(tmp_path)
+        files = {"tree": sim / "tree.json", "stream": sim / "stream.jsonl"}
+        data = files[bad].read_bytes()
+        at = data.index(b"\n", data.index(b"\n") + 1) + 3  # on line 3
+        path = tmp_path / f"bad_{files[bad].name}"
+        path.write_bytes(data[:at] + b"\xff" + data[at:])
+        files[bad] = path
+        code = main([command, "--tree", str(files["tree"]),
+                     "--stream", str(files["stream"]), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        where = f"{path}:3: " if bad == "stream" else f"{path}: line 3: "
+        assert err.startswith(f"error: {where}not UTF-8 text"), err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["fit", "eval"])
     @pytest.mark.parametrize("difficulty", [None, "weird"])
@@ -403,7 +444,7 @@ class TestStreamKC:
         def unreachable(*args, **kwargs):
             raise AssertionError("fitting started")
 
-        monkeypatch.setattr("treekt.cli.burn_in_fit", unreachable)
+        monkeypatch.setattr("treekt.cli.fit", unreachable)
         monkeypatch.setattr("treekt.evaluate.burn_in_fit", unreachable)
         code = main([command, "--tree", str(sim / "tree.json"), "--stream", str(stream),
                      "--out", str(tmp_path / "out")]

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from treekt import accuracy, auc, f1, metrics_report, run_experiment
-from treekt.evaluate import ExperimentConfig, MetricError, records_to_csv
+from treekt.evaluate import ExperimentConfig, MetricError, csv_lines
 from treekt.online import PredictionRecord
 from treekt.simulate import (
     SimConfig,
@@ -117,14 +117,14 @@ class TestThresholdMetrics:
 class TestCsvExport:
     def test_float_roundtrip(self):
         records = make_records([(0.1 + 0.2, 1)])
-        text = records_to_csv(records)
+        text = "".join(csv_lines(records))
         lines = text.splitlines()
         assert lines[0] == "student_id,question_id,p_correct,actual,seq"
         assert float(lines[1].split(",")[2]) == records[0].p_correct
 
     def test_fields_quoted_as_a_csv_file_writer_quotes_them(self):
         records = [PredictionRecord("a,b", 'q"1', 0.25, 1, 3)]
-        assert records_to_csv(records).splitlines()[1] == '"a,b","q""1",0.25,1,3'
+        assert "".join(csv_lines(records)).splitlines()[1] == '"a,b","q""1",0.25,1,3'
 
 
 class TestRunExperiment:

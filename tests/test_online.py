@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from treekt import (
     ClassroomSession,
@@ -25,8 +26,9 @@ from treekt import (
 from treekt.model import ParameterError
 from treekt.online import (
     StreamFormatError,
+    load_stream,
     parse_stream,
-    serialize_predictions,
+    prediction_lines,
     serialize_stream,
 )
 from treekt.simulate import (
@@ -81,6 +83,157 @@ class TestStreamIO:
         lines[1] = json.dumps(record)
         with pytest.raises(StreamFormatError, match="^s.jsonl:2: "):
             parse_stream("\n".join(lines), source="s.jsonl")
+
+
+def reference_parse_stream(document: str, source: str = "<stream>"):
+    """The reference stream parser: per line json.loads, then isinstance
+    checks that also reject bool, then Difficulty(). parse_stream must give
+    the same records, or raise the same error, on every document."""
+    fields = {"student_id": str, "question_id": str, "kc_id": str,
+              "difficulty": str, "correct": int, "seq": int}
+    records, last = [], {}
+    for i, line in enumerate(document.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            raw = json.loads(line)
+            if not isinstance(raw, dict):
+                raise TypeError(f"expected a JSON object, got {type(raw).__name__}")
+            for key, kind in fields.items():
+                value = raw[key]
+                if not isinstance(value, kind) or isinstance(value, bool):
+                    kind_name = "a string" if kind is str else "an integer"
+                    raise TypeError(f"{key} must be {kind_name}, got {value!r}")
+            if raw["correct"] not in (0, 1):
+                raise ValueError(f"correct must be 0 or 1, got {raw['correct']!r}")
+            record = StreamRecord(raw["student_id"], raw["question_id"], raw["kc_id"],
+                                  Difficulty(raw["difficulty"]), raw["correct"],
+                                  raw["seq"])
+        except (KeyError, ValueError, TypeError) as exc:
+            detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+            raise StreamFormatError(
+                f"{source}:{i}: bad stream record on line {i}: {detail}") from exc
+        seq, line_no = last.get(record.student_id, (None, None))
+        if seq is not None and record.seq <= seq:
+            raise StreamFormatError(
+                f"{source}:{i}: seq {record.seq} of student {record.student_id!r} "
+                f"does not follow seq {seq} on line {line_no}")
+        last[record.student_id] = (record.seq, i)
+        records.append(record)
+    return records
+
+
+STREAM_KEYS = ["student_id", "question_id", "kc_id", "difficulty", "correct", "seq"]
+#: Field values that no field takes (bool, float, null, list, and NaN and
+#: -Infinity, which json reads as floats), then a string and an integer,
+#: each wrong for some fields.
+WRONG_VALUES = ["true", "false", "1.0", "2.5", "null", "[]", "[1]", "NaN",
+                "-Infinity", '"7"', "0"]
+JSON_SPACE = st.text(alphabet=" \t\r", max_size=2)
+ODD_SPACE = st.sampled_from(["\x0c", "\u00a0", "\ufeff", "\x0b", "\u2028"])
+
+
+@st.composite
+def stream_lines(draw, seq):
+    """One line of a stream document as text: a record, often valid, else
+    with a field dropped, repeated, extra or of the wrong type, with
+    correct 2 or an unknown difficulty, padded with JSON or other
+    whitespace, or followed by a second object; or a blank line or a JSON
+    value that is not an object."""
+    kind = draw(st.sampled_from(
+        ["valid"] * 8 + ["wrong"] * 3 + ["drop", "correct", "difficulty", "duplicate",
+                                         "extra", "pad", "odd_pad", "two", "blank",
+                                         "not_object"]))
+    if kind == "blank":
+        return draw(st.sampled_from(["", " ", "\t", "  \t "]))
+    if kind == "not_object":
+        return draw(st.sampled_from(["[1, 2]", '"s1"', "5", "null", "true", "{"]))
+    fields = {
+        "student_id": json.dumps(draw(st.sampled_from(["s1", "s2", "s\u00e9"]))),
+        "question_id": json.dumps(draw(st.sampled_from(["q1", "q2"]))),
+        "kc_id": json.dumps(draw(st.sampled_from(["a", "b"]))),
+        "difficulty": json.dumps(draw(st.sampled_from(["easy", "medium", "hard"]))),
+        "correct": draw(st.sampled_from(["0", "1"])),
+        "seq": str(seq if draw(st.booleans()) else draw(st.integers(-2, 3))),
+    }
+    key = draw(st.sampled_from(STREAM_KEYS))
+    if kind == "drop":
+        del fields[key]
+    elif kind == "wrong":
+        fields[key] = draw(st.sampled_from(WRONG_VALUES))
+    elif kind == "correct":
+        fields["correct"] = draw(st.sampled_from(["2", "-1", "10"]))
+    elif kind == "difficulty":
+        fields["difficulty"] = json.dumps(draw(st.sampled_from(["weird", "EASY", ""])))
+    items = [f'"{k}": {v}' for k, v in fields.items()]
+    if kind == "duplicate":
+        items.append(f'"{key}": {draw(st.sampled_from(WRONG_VALUES + [fields.get(key, "1")]))}')
+    elif kind == "extra":
+        items.insert(draw(st.integers(0, len(items))), '"extra": [1, {"x": null}]')
+    items = draw(st.permutations(items))
+    line = "{" + ", ".join(items) + "}"
+    if kind == "pad":
+        line = draw(JSON_SPACE) + line + draw(JSON_SPACE)
+    elif kind == "odd_pad":
+        space = draw(ODD_SPACE)
+        line = draw(st.sampled_from([space + line, " " + space + line, line + space]))
+    elif kind == "two":
+        line += draw(st.sampled_from(["", " ", "\t"])) + draw(st.sampled_from(["{}", line, "1"]))
+    return line
+
+
+@st.composite
+def stream_documents(draw):
+    lines = [draw(stream_lines(seq)) for seq in range(draw(st.integers(0, 8)))]
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(
+        st.sampled_from(["", "\n"]))
+
+
+def outcome(parse, document):
+    """What parse makes of document: its records, or its error's type and text."""
+    try:
+        records = parse(document, source="s.jsonl")
+    except StreamFormatError as exc:
+        return type(exc), str(exc)
+    assert all(type(r.difficulty) is Difficulty for r in records)
+    return records
+
+
+class TestParserAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(document=stream_documents())
+    @example(document='{"student_id": "s1", "question_id": "q1", "kc_id": "a", '
+                      '"difficulty": "easy", "correct": 1, "seq": 0}')
+    @example(document=' {"student_id": "s1", "question_id": "q1", "kc_id": "a", '
+                      '"difficulty": "hard", "correct": 0, "seq": 0}\t\n\n')
+    @example(document='\ufeff{"student_id": "s1"}')
+    @example(document='{"student_id": NaN}')
+    @example(document="{} {}")
+    def test_same_records_or_same_error(self, document):
+        assert outcome(parse_stream, document) == outcome(reference_parse_stream, document)
+
+    @pytest.mark.parametrize("key", STREAM_KEYS)
+    @pytest.mark.parametrize("value", [None, *WRONG_VALUES])
+    def test_each_field_missing_or_of_each_wrong_type(self, key, value):
+        raw = {"student_id": '"s1"', "question_id": '"q1"', "kc_id": '"a"',
+               "difficulty": '"easy"', "correct": "1", "seq": "0"}
+        if value is None:
+            del raw[key]
+        else:
+            raw[key] = value
+        line = "{" + ", ".join(f'"{k}": {v}' for k, v in raw.items()) + "}"
+        assert outcome(parse_stream, line) == outcome(reference_parse_stream, line)
+
+    def test_bytes_that_are_not_utf8_name_the_file_and_line(self, tmp_path):
+        _, _, stream = small_classroom()
+        data = serialize_stream(stream[:3]).encode()
+        at = data.rindex(b"\n", 0, len(data) - 1) + 4  # on line 3
+        path = tmp_path / "stream.jsonl"
+        path.write_bytes(data[:at] + b"\xff" + data[at:])
+        with pytest.raises(StreamFormatError) as exc:
+            load_stream(str(path))
+        assert str(exc.value).startswith(f"{path}:3: not UTF-8 text on line 3: ")
+        assert isinstance(exc.value.__cause__, UnicodeDecodeError)
 
 
 class TestSplitBurnIn:
@@ -332,7 +485,7 @@ class TestReplay:
         tree, _, stream = small_classroom(seed=11)
         burn_in, remainder = split_burn_in(stream, 4)
         records = replay(burn_in_fit(tree, burn_in, tol=1e-6), remainder[:5])
-        lines = serialize_predictions(records).splitlines()
+        lines = "".join(prediction_lines(records)).splitlines()
         assert len(lines) == 5
         doc = json.loads(lines[0])
         assert doc["student_id"] == records[0].student_id
@@ -341,12 +494,12 @@ class TestReplay:
     def test_serialize_predictions_bytes(self):
         records = [PredictionRecord("s1", "q1", 0.1 + 0.2, 1, 3),
                    PredictionRecord("s2", "q\u00e9", 0.5, 0, 7)]
-        assert serialize_predictions(records) == (
+        assert "".join(prediction_lines(records)) == (
             '{"actual": 1, "p_correct": 0.30000000000000004, "question_id": "q1", '
             '"seq": 3, "student_id": "s1"}\n'
             '{"actual": 0, "p_correct": 0.5, "question_id": "q\\u00e9", '
             '"seq": 7, "student_id": "s2"}\n')
-        assert serialize_predictions([]) == ""
+        assert "".join(prediction_lines([])) == ""
 
 
 def assert_same_params(got, want, tol=1e-12):

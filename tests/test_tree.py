@@ -110,6 +110,14 @@ class TestTreeFileErrors:
         assert isinstance(exc.value.__cause__, json.JSONDecodeError) == (
             document == "{not json")
 
+    def test_bytes_that_are_not_utf8_name_the_path_and_line(self, tmp_path):
+        path = tmp_path / "tree.json"
+        path.write_bytes(b'{"nodes": [\n  {"id": "A"},\n  {"id": "\xff"}\n]}\n')
+        with pytest.raises(TreeFormatError) as exc:
+            load_tree(str(path))
+        assert str(exc.value).startswith(f"{path}: line 3: not UTF-8 text: ")
+        assert isinstance(exc.value.__cause__, UnicodeDecodeError)
+
 
 class TestValidateTree:
     def test_single_node_valid(self):
@@ -318,6 +326,15 @@ class TestQuestionFileErrors:
             load_questions(str(path), self.TREE)
         assert str(exc.value).startswith(f"{path}: line 3: ")
         assert "question record has no kc_id" in str(exc.value)
+
+    def test_bytes_that_are_not_utf8_name_the_path_and_line(self, tmp_path):
+        path = tmp_path / "questions.jsonl"
+        path.write_bytes(self.FIRST.encode()
+                         + b'{"question_id": "q\xe9", "kc_id": "B"}\n')
+        with pytest.raises(TreeFormatError) as exc:
+            load_questions(str(path), self.TREE)
+        assert str(exc.value).startswith(f"{path}: line 3: not UTF-8 text: ")
+        assert isinstance(exc.value.__cause__, UnicodeDecodeError)
 
 
 QUESTION_FIELDS = ["question_id", "kc_id", "solve_rate", "difficulty"]

@@ -63,16 +63,6 @@ from .online import (
     replay,
     split_burn_in,
 )
-from .simulate import (
-    GroundTruth,
-    SimConfig,
-    brute_force_posteriors,
-    generate_classroom,
-    random_question_bank,
-    random_tree,
-    sample_response,
-    sample_states,
-)
 from .evaluate import (
     ExperimentConfig,
     MetricsReport,
@@ -82,3 +72,24 @@ from .evaluate import (
     metrics_report,
     run_experiment,
 )
+
+#: Names of treekt.simulate, which is imported on the first read of one, so
+#: that fitting and scoring processes never load the simulator.
+_SIMULATE_NAMES = frozenset({
+    "GroundTruth",
+    "SimConfig",
+    "brute_force_posteriors",
+    "generate_classroom",
+    "random_question_bank",
+    "random_tree",
+    "sample_response",
+    "sample_states",
+})
+
+
+def __getattr__(name: str):
+    if name in _SIMULATE_NAMES:
+        from . import simulate
+
+        return getattr(simulate, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

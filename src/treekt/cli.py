@@ -20,20 +20,9 @@ import numpy as np
 
 from . import __version__
 from .evaluate import ExperimentConfig, csv_lines, run_experiment
-from .em import fit
-from .inference import Interaction, observation_set, pack_counts, posteriors
+from .inference import Interaction, observation_set, posteriors
 from .model import Parameters, default_parameters
-from .online import StreamFormatError, load_stream, prediction_lines
-from .simulate import (
-    ENUMERATION_LIMIT,
-    SimConfig,
-    brute_force_posteriors,
-    generate_classroom,
-    random_question_bank,
-    random_tree,
-    sample_response,
-    sample_states,
-)
+from .online import StreamFormatError, burn_in_fit, load_stream, prediction_lines
 from .tree import (
     TreeFormatError,
     load_tree,
@@ -139,11 +128,8 @@ def cmd_fit(args) -> int:
     if not by_student:
         print("error: stream is empty", file=sys.stderr)
         return 1
-    # Records carry the kc, difficulty and correct that packing reads, so
-    # they go to counts as they are, in student-id order.
-    counts = pack_counts(tree, [by_student[sid] for sid in sorted(by_student)])
-    report = fit(tree, counts, default_parameters(tree), max_iters=args.max_iters,
-                 tol=args.tol)
+    report = burn_in_fit(tree, by_student, max_iters=args.max_iters,
+                         tol=args.tol).fit_report
     out = Path(args.out)
     _write(out / "params.json", report.params.to_json())
     _write(out / "fit_report.json", report.to_json())
@@ -155,6 +141,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .simulate import SimConfig, generate_classroom, random_question_bank, random_tree
+
     rng = np.random.default_rng(args.seed)
     if args.tree:
         tree = load_tree(args.tree)
@@ -198,6 +186,15 @@ def cmd_eval(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
+    from .simulate import (
+        ENUMERATION_LIMIT,
+        brute_force_posteriors,
+        random_question_bank,
+        random_tree,
+        sample_response,
+        sample_states,
+    )
+
     if args.instances < 0:
         raise ValueError(f"--instances {args.instances}: cannot be negative")
     if not 2 <= args.max_nodes <= ENUMERATION_LIMIT:

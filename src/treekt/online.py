@@ -180,7 +180,10 @@ def burn_in_fit(
     update_batch: int | None = 1,
 ) -> ClassroomSession:
     """Fit the shared model on pooled early interactions, to convergence.
-    An init that misses a node's gamma raises ParameterError before the fit."""
+    The fit reads only each response's kc, difficulty and correct, so a
+    caller that drops the session, as `treekt fit` does, may pass
+    StreamRecords in place of Interactions. An init that misses a node's
+    gamma raises ParameterError before the fit."""
     if not burn_in or not any(burn_in.values()):
         raise ValueError("burn-in data must be non-empty")
     session = ClassroomSession(

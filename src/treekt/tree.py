@@ -201,8 +201,11 @@ def _named(path: str) -> Iterator[None]:
 
 def utf8_line(exc: UnicodeDecodeError) -> int:
     """The line of a file read whole that holds its first byte that is not
-    UTF-8: one plus the newlines before that byte."""
-    return exc.object.count(b"\n", 0, exc.start) + 1
+    UTF-8, numbered as the parsers number lines (str.splitlines, which
+    also breaks on a lone carriage return, form feed or U+2028)."""
+    before = exc.object[:exc.start].decode("utf-8")  # valid up to the bad byte
+    # A character put in the bad byte's place lands on the bad byte's line.
+    return len((before + "x").splitlines())
 
 
 def _read(path: str) -> str:

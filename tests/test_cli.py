@@ -12,10 +12,8 @@ from hypothesis import given, settings, strategies as st
 from treekt import default_parameters, load_tree, serialize_tree
 from treekt import cli
 from treekt.cli import main
-from treekt.em import fit
 from treekt.evaluate import ExperimentConfig, csv_lines, run_experiment
-from treekt.inference import pack_counts
-from treekt.online import load_stream, prediction_lines, serialize_stream
+from treekt.online import burn_in_fit, load_stream, prediction_lines, serialize_stream
 from treekt.simulate import (
     SimConfig,
     generate_classroom,
@@ -163,7 +161,7 @@ class TestFitAndEval:
             "".join(prediction_lines(records)).encode()
         assert (out / "predictions.csv").read_bytes() == "".join(csv_lines(records)).encode()
 
-    def test_fit_files_equal_em_fit_over_interactions(self, tmp_path):
+    def test_fit_files_equal_burn_in_fit_over_interactions(self, tmp_path):
         sim = simulate_into(tmp_path)
         out = tmp_path / "fit"
         assert main(["fit", "--tree", str(sim / "tree.json"),
@@ -173,8 +171,7 @@ class TestFitAndEval:
         histories: dict[str, list] = {}
         for rec in load_stream(str(sim / "stream.jsonl"), tree):
             histories.setdefault(rec.student_id, []).append(rec.interaction())
-        counts = pack_counts(tree, [histories[sid] for sid in sorted(histories)])
-        report = fit(tree, counts, default_parameters(tree), max_iters=15, tol=1e-6)
+        report = burn_in_fit(tree, histories, max_iters=15, tol=1e-6).fit_report
         assert (out / "params.json").read_bytes() == report.params.to_json().encode()
         assert (out / "fit_report.json").read_bytes() == report.to_json().encode()
 
@@ -444,7 +441,7 @@ class TestStreamKC:
         def unreachable(*args, **kwargs):
             raise AssertionError("fitting started")
 
-        monkeypatch.setattr("treekt.cli.fit", unreachable)
+        monkeypatch.setattr("treekt.cli.burn_in_fit", unreachable)
         monkeypatch.setattr("treekt.evaluate.burn_in_fit", unreachable)
         code = main([command, "--tree", str(sim / "tree.json"), "--stream", str(stream),
                      "--out", str(tmp_path / "out")]

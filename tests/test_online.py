@@ -224,16 +224,21 @@ class TestParserAgainstReference:
         line = "{" + ", ".join(f'"{k}": {v}' for k, v in raw.items()) + "}"
         assert outcome(parse_stream, line) == outcome(reference_parse_stream, line)
 
-    def test_bytes_that_are_not_utf8_name_the_file_and_line(self, tmp_path):
+    @pytest.mark.parametrize("newline", ["\n", "\r", "\r\n", "\x0c", "\u2028"])
+    def test_bytes_that_are_not_utf8_name_the_file_and_line(self, tmp_path, newline):
         _, _, stream = small_classroom()
-        data = serialize_stream(stream[:3]).encode()
-        at = data.rindex(b"\n", 0, len(data) - 1) + 4  # on line 3
+        lines = serialize_stream(stream[:3]).splitlines()
+        first = (newline.join(lines[:2]) + newline).encode()
         path = tmp_path / "stream.jsonl"
-        path.write_bytes(data[:at] + b"\xff" + data[at:])
+        path.write_bytes(first + lines[2][:3].encode() + b"\xff" + lines[2][3:].encode())
         with pytest.raises(StreamFormatError) as exc:
             load_stream(str(path))
         assert str(exc.value).startswith(f"{path}:3: not UTF-8 text on line 3: ")
         assert isinstance(exc.value.__cause__, UnicodeDecodeError)
+        # The parser numbers a bad record in the same place the same way.
+        path.write_bytes(first + b"[]")
+        with pytest.raises(StreamFormatError, match=":3: bad stream record on line 3: "):
+            load_stream(str(path))
 
 
 class TestSplitBurnIn:

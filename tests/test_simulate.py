@@ -103,18 +103,26 @@ class TestDerivedSeeds:
         assert derive_seed(7, "s001") == 14136917117731390160
         assert derive_seed(0, "s000") == 16809736255235744406
 
-    def test_importing_the_cli_leaves_hashlib_unloaded(self):
-        # hashlib loads OpenSSL; only derive_seed needs it, and imports it
-        # when called.
+    def test_importing_the_cli_leaves_the_simulator_and_hashlib_unloaded(self):
+        # Fitting and scoring never simulate, so the CLI imports simulate in
+        # the commands that do. hashlib loads OpenSSL; only derive_seed
+        # needs it, and imports it when called.
         src = str(Path(treekt.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")]))}
         done = subprocess.run(
             [sys.executable, "-c",
-             "import sys, treekt.cli; print('hashlib' in sys.modules)"],
+             "import sys, treekt.cli; print('treekt.simulate' in sys.modules); "
+             "import treekt.simulate; print('hashlib' in sys.modules)"],
             env=env, capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "False"
+        assert done.stdout.split() == ["False", "False"]
+
+    def test_package_serves_simulator_names(self):
+        assert treekt.random_tree is random_tree
+        assert treekt.SimConfig is SimConfig
+        with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
+            treekt.nonexistent
 
 
 class TestGenerateClassroom:

@@ -110,9 +110,11 @@ class TestTreeFileErrors:
         assert isinstance(exc.value.__cause__, json.JSONDecodeError) == (
             document == "{not json")
 
-    def test_bytes_that_are_not_utf8_name_the_path_and_line(self, tmp_path):
+    @pytest.mark.parametrize("newline", [b"\n", b"\r", b"\r\n"])
+    def test_bytes_that_are_not_utf8_name_the_path_and_line(self, tmp_path, newline):
         path = tmp_path / "tree.json"
-        path.write_bytes(b'{"nodes": [\n  {"id": "A"},\n  {"id": "\xff"}\n]}\n')
+        path.write_bytes(b'{"nodes": [\n  {"id": "A"},\n  {"id": "\xff"}\n]}\n'
+                         .replace(b"\n", newline))
         with pytest.raises(TreeFormatError) as exc:
             load_tree(str(path))
         assert str(exc.value).startswith(f"{path}: line 3: not UTF-8 text: ")
@@ -327,14 +329,19 @@ class TestQuestionFileErrors:
         assert str(exc.value).startswith(f"{path}: line 3: ")
         assert "question record has no kc_id" in str(exc.value)
 
-    def test_bytes_that_are_not_utf8_name_the_path_and_line(self, tmp_path):
+    @pytest.mark.parametrize("newline", ["\n", "\r", "\r\n", "\x0c", "\u2028"])
+    def test_bytes_that_are_not_utf8_name_the_path_and_line(self, tmp_path, newline):
         path = tmp_path / "questions.jsonl"
-        path.write_bytes(self.FIRST.encode()
-                         + b'{"question_id": "q\xe9", "kc_id": "B"}\n')
+        first = self.FIRST.replace("\n", newline).encode()
+        path.write_bytes(first + b'{"question_id": "q\xe9", "kc_id": "B"}\n')
         with pytest.raises(TreeFormatError) as exc:
             load_questions(str(path), self.TREE)
         assert str(exc.value).startswith(f"{path}: line 3: not UTF-8 text: ")
         assert isinstance(exc.value.__cause__, UnicodeDecodeError)
+        # The parser numbers a bad record in the same place the same way.
+        path.write_bytes(first + b'{"question_id": "q2"}\n')
+        with pytest.raises(TreeFormatError, match="line 3: question record has no kc_id"):
+            load_questions(str(path), self.TREE)
 
 
 QUESTION_FIELDS = ["question_id", "kc_id", "solve_rate", "difficulty"]

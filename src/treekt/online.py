@@ -17,8 +17,10 @@ one E-step over a [V, 6, T, S] slab: per target, the burn-in pool with the
 target's column replaced by (or, for a newcomer, joined by) the target's
 full history. The due students' θ columns go through the E-step, the
 M-step and the log form as [·, T] blocks. Slabs hold at most SLAB_CELLS
-cells. replay runs the stream as rounds; observe and predict_next are
-rounds of one student.
+cells. replay runs the stream as rounds. predict_next is one kernel call on
+one student's column, counted from the flat slot list each model keeps of
+its conditioning set; observe is a round of one student, which checks the
+response before it changes anything and, in a frozen session, only appends.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import numpy as np
 
 from .em import FitReport, batch_e_step, batch_m_step, fit
 from .inference import (
+    CELL_KEYS,
     InferenceError,
     Interaction,
     Prediction,
@@ -79,8 +82,10 @@ class PredictionRecord:
 @dataclass(eq=False)
 class StudentModel:
     """A student's θ as a column [V + 4] in the order of the tree's plan,
-    with its log form [2V + 12] beside it, and the student's history. A
-    student who has had no update shares the session's θ_init columns."""
+    with its log form [2V + 12] beside it, and the student's history. slots
+    holds the flat cell (inference.cell_slots) of each response of the
+    conditioning set: burn-in, then history. A student who has had no
+    update shares the session's θ_init columns."""
 
     student_id: str
     order: tuple[str, ...] = field(repr=False)
@@ -89,6 +94,7 @@ class StudentModel:
     history: list[Interaction] = field(default_factory=list)
     pending: int = 0
     packed: np.ndarray | None = field(default=None, repr=False)
+    slots: list[int] = field(default_factory=list, repr=False)
 
     @property
     def params(self) -> Parameters:
@@ -134,14 +140,19 @@ class ClassroomSession:
         return history
 
     def _history_counts(self, student_id: str) -> np.ndarray:
-        """The conditioning set as one kernel column [V, 6, 1]. A session
-        that updates keeps it on the student's model, where each revealed
-        response is added; it is no larger than the student's column in the
-        burn-in pool. A frozen session packs it on demand."""
+        """The conditioning set as one kernel column [V, 6, 1], counted from
+        its slot list by one bincount. A session that updates keeps it on
+        the student's model, where each revealed response is added, as its
+        slabs read it every round; it is no larger than the student's column
+        in the burn-in pool. A frozen session counts it on each read."""
         model = self.students.get(student_id)
         if model is not None and model.packed is not None:
             return model.packed
-        counts = pack_counts(self.tree, [self.student_history(student_id)])
+        slots = (model.slots if model is not None
+                 else cell_slots(self.tree, self.burn_in.get(student_id, ())))
+        v = len(self.tree.nodes)
+        counts = np.bincount(slots, minlength=v * len(CELL_KEYS)).astype(np.float64)
+        counts = counts.reshape(v, len(CELL_KEYS), 1)
         if model is not None and self.update_batch is not None:
             model.packed = counts
         return counts
@@ -207,14 +218,26 @@ def _block(columns: Sequence[np.ndarray]) -> np.ndarray:
 _RATE_ROW = {d: r for r, d in enumerate(Difficulty)}
 
 
+def _kc_rows(plan, questions: Iterable[QuestionMeta]) -> list[int]:
+    try:
+        return [plan.index[q.kc] for q in questions]
+    except KeyError as exc:
+        raise InferenceError(f"unknown KC: {exc.args[0]!r}") from None
+
+
+def _blend(mastery, epsilon, phi):
+    """P(correct) = (1 - m)·ε + m·φ, in inference.predict's operand order,
+    on floats or arrays alike."""
+    return (1.0 - mastery) * epsilon + mastery * phi
+
+
 def _predict_round(
     session: ClassroomSession, student_ids: Sequence[str],
     questions: Sequence[QuestionMeta],
 ) -> tuple[list[float], list[float]]:
     """P(correct) and the posterior mastery of the question's node, for one
     question for each of distinct students, every student at their own θ
-    and history, in kernel calls of SLAB_CELLS. P(correct) is (1 - m)·ε +
-    m·φ, as inference.predict computes it."""
+    and history, in kernel calls of SLAB_CELLS (see _blend)."""
     plan = kernel_plan(session.tree)
     v = len(plan.order)
     size = max(1, SLAB_CELLS // v)
@@ -233,13 +256,9 @@ def _predict_round(
             columns = np.arange(len(chunk))
         counts = np.concatenate([*map(session._history_counts, chunk)], axis=2)
         post = batch_posteriors(session.tree, log_theta, counts)
-        try:
-            rows = [plan.index[q.kc] for q in asked]
-        except KeyError as exc:
-            raise InferenceError(f"unknown KC: {exc.args[0]!r}") from None
-        p1 = post.marginal[rows, np.arange(len(chunk))]
+        p1 = post.marginal[_kc_rows(plan, asked), np.arange(len(chunk))]
         phi = theta[[v + _RATE_ROW[q.difficulty] for q in asked], columns]
-        prob += ((1.0 - p1) * theta[-1, columns] + p1 * phi).tolist()
+        prob += _blend(p1, theta[-1, columns], phi).tolist()
         mastery += p1.tolist()
     return prob, mastery
 
@@ -248,17 +267,21 @@ def _reveal_round(
     session: ClassroomSession, events: Sequence[tuple[str, Interaction]]
 ) -> None:
     """Append one response to each of distinct students' histories, then
-    run every one-step update that falls due, in slabs of SLAB_CELLS."""
+    run every one-step update that falls due, in slabs of SLAB_CELLS. Any
+    response with no kernel cell raises InferenceError before anything changes."""
     tree, due = session.tree, []
-    for student_id, interaction in events:
+    slots = cell_slots(tree, [interaction for _, interaction in events])
+    for (student_id, interaction), slot in zip(events, slots):
         model = session.students.get(student_id)
         if model is None:
             model = StudentModel(student_id, kernel_plan(tree).order,
-                                 *session._init_columns())
+                                 *session._init_columns(),
+                                 slots=cell_slots(tree, session.burn_in.get(student_id, ())))
             session.students[student_id] = model
         if model.packed is not None:
-            model.packed.flat[cell_slots(tree, [interaction])[0]] += 1.0
+            model.packed.flat[slot] += 1.0
         model.history.append(interaction)
+        model.slots.append(slot)
         if session.update_batch is None:
             continue
         model.pending += 1
@@ -285,7 +308,8 @@ def observe(
     session: ClassroomSession, student_id: str, interaction: Interaction
 ) -> ClassroomSession:
     """Append a response to the student's history and refresh their model
-    with a single EM iteration over burn-in data plus their history."""
+    with a single EM iteration over burn-in data plus their history. A
+    response with no kernel cell raises InferenceError and changes nothing."""
     _reveal_round(session, [(student_id, interaction)])
     return session
 
@@ -295,9 +319,19 @@ def predict_next(
 ) -> Prediction:
     """Posterior over the question's concept given the student's history,
     blended with the emission rates. Unseen students use the shared model
-    and an empty personal history."""
-    (prob,), (mastery,) = _predict_round(session, [student_id], [question])
-    return Prediction(question.question_id, prob, mastery)
+    and an empty personal history. One kernel call on the student's
+    column, at the student's θ."""
+    plan = kernel_plan(session.tree)
+    (row,) = _kc_rows(plan, [question])
+    model = session.students.get(student_id)
+    theta, log_theta = (session._init_columns() if model is None
+                        else (model.theta, model.log_theta))
+    post = batch_posteriors(session.tree, log_theta[:, None],
+                            session._history_counts(student_id))
+    mastery = post.marginal[row, 0]
+    phi = theta[len(plan.order) + _RATE_ROW[question.difficulty]]
+    return Prediction(question.question_id, float(_blend(mastery, theta[-1], phi)),
+                      float(mastery))
 
 
 def replay(
@@ -361,7 +395,7 @@ def _json_line(line: str):
     return json.loads(line)
 
 
-def _stream_record(raw) -> StreamRecord:
+def _stream_record(raw, share) -> StreamRecord:
     # Decoded JSON values have exact types, so `type(...) is` rejects what
     # isinstance would, bool (an int subclass) included.
     if type(raw) is not dict:
@@ -374,7 +408,8 @@ def _stream_record(raw) -> StreamRecord:
     if raw["correct"] not in (0, 1):
         raise ValueError(f"correct must be 0 or 1, got {raw['correct']!r}")
     difficulty = _DIFFICULTY.get(raw["difficulty"]) or Difficulty(raw["difficulty"])
-    return StreamRecord(raw["student_id"], raw["question_id"], raw["kc_id"],
+    sid, qid, kc = raw["student_id"], raw["question_id"], raw["kc_id"]
+    return StreamRecord(share(sid, sid), share(qid, qid), share(kc, kc),
                         difficulty, raw["correct"], raw["seq"])
 
 
@@ -387,15 +422,16 @@ def parse_stream(
     each student's seq order, so a student's seq must increase strictly
     from each of their lines to the next. Given a tree, a kc_id that is not
     one of its leaves raises InferenceError (a domain failure, not a format
-    error) naming the line."""
+    error) naming the line. Equal ids of one parse are one string object."""
     records = []
+    share = {}.setdefault
     last: dict[str, tuple[int, int]] = {}
     leaves = None if tree is None else frozenset(tree.leaves())
     for i, line in enumerate(document.splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            record = _stream_record(_json_line(line))
+            record = _stream_record(_json_line(line), share)
         except (KeyError, ValueError, TypeError) as exc:
             detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
             raise StreamFormatError(

@@ -23,6 +23,7 @@ from treekt import (
     replay,
     split_burn_in,
 )
+from treekt.inference import InferenceError, pack_counts
 from treekt.model import ParameterError
 from treekt.online import (
     StreamFormatError,
@@ -83,6 +84,16 @@ class TestStreamIO:
         lines[1] = json.dumps(record)
         with pytest.raises(StreamFormatError, match="^s.jsonl:2: "):
             parse_stream("\n".join(lines), source="s.jsonl")
+
+    def test_repeated_ids_are_one_object(self):
+        _, _, stream = small_classroom()
+        records = parse_stream(serialize_stream(stream))
+        for key in ("student_id", "question_id", "kc"):
+            first = {}
+            for rec in records:
+                value = first.setdefault(getattr(rec, key), getattr(rec, key))
+                assert getattr(rec, key) is value
+            assert len(first) < len(records)
 
 
 def reference_parse_stream(document: str, source: str = "<stream>"):
@@ -592,3 +603,87 @@ class TestLockStepReplay:
                 assert abs(a.p_correct - b.p_correct) <= 1e-12
             for sid, model in base.students.items():
                 assert_same_params(s.students[sid].params, model.params)
+
+
+class TestReadPath:
+    """A frozen session counts each column from the student's slot list and
+    predicts with one kernel call; observe checks a response before it
+    changes anything."""
+
+    @staticmethod
+    def session(update_batch=None, seed=14):
+        tree, bank, stream = small_classroom(seed=seed, n_students=5)
+        burn_in, remainder = split_burn_in(stream, 4)
+        theta = default_parameters(tree)
+        return (ClassroomSession(tree=tree, burn_in=burn_in, theta_init=theta,
+                                 update_batch=update_batch), bank, remainder)
+
+    def test_step_loop_equals_replay_per_student(self):
+        # Predictions of a frozen session depend only on the student's own
+        # history, and a replay of one student's responses makes kernel
+        # calls of one column, as predict_next does: the same bits.
+        session, bank, remainder = self.session()
+        newcomer = [StreamRecord("m_new", q.question_id, q.kc, q.difficulty, i % 2, i)
+                    for i, q in enumerate(bank[:4])]
+        remainder = [r for pair in zip(remainder, newcomer) for r in pair] \
+            + remainder[len(newcomer):]
+        got = {}
+        for rec in remainder:
+            question = QuestionMeta(rec.question_id, rec.kc, rec.difficulty)
+            got.setdefault(rec.student_id, []).append(
+                predict_next(session, rec.student_id, question).prob_correct)
+            observe(session, rec.student_id, rec.interaction())
+        for sid, probs in got.items():
+            fresh, _, _ = self.session()
+            records = replay(fresh, [r for r in remainder if r.student_id == sid])
+            assert [r.p_correct for r in records] == probs
+
+    @pytest.mark.parametrize("update_batch", [None, 1])
+    def test_slot_list_column_equals_pack_counts(self, update_batch):
+        session, bank, remainder = self.session(update_batch)
+        sid = remainder[0].student_id
+        for rec in [r for r in remainder if r.student_id == sid][:3]:
+            observe(session, sid, rec.interaction())
+        q = bank[0]
+        observe(session, "m_new", Interaction(q.question_id, q.kc, q.difficulty, 1))
+        quiet = next(other for other in sorted(session.burn_in) if other != sid)
+        for sid in (sid, "m_new", quiet, "never_seen"):
+            counts = session._history_counts(sid)
+            want = pack_counts(session.tree, [session.student_history(sid)])
+            assert counts.dtype == want.dtype and counts.shape == want.shape
+            assert np.array_equal(counts, want)
+
+    def test_unknown_kc_raises(self):
+        session, _, remainder = self.session()
+        sid = remainder[0].student_id
+        with pytest.raises(InferenceError, match="^unknown KC: 'nope'$"):
+            predict_next(session, sid, QuestionMeta("q", "nope", Difficulty.EASY))
+
+    @pytest.mark.parametrize("update_batch", [None, 1])
+    @pytest.mark.parametrize("newcomer", [False, True])
+    @pytest.mark.parametrize("bad", ["internal", "unknown", "correct", "difficulty"])
+    def test_bad_response_changes_nothing(self, update_batch, newcomer, bad):
+        hit, bank, remainder = self.session(update_batch)
+        clean, _, _ = self.session(update_batch)
+        sid = "m_new" if newcomer else remainder[0].student_id
+        q = bank[0]
+        if not newcomer:
+            for s in (hit, clean):
+                observe(s, sid, remainder[0].interaction())
+        bad_response = {
+            "internal": Interaction("q", hit.tree.root, q.difficulty, 1),
+            "unknown": Interaction("q", "nope", q.difficulty, 1),
+            "correct": Interaction("q", q.kc, q.difficulty, 2),
+            "difficulty": Interaction("q", q.kc, "weird", 1),
+        }[bad]
+        before = [(m.student_id, len(m.history), m.pending)
+                  for m in hit.students.values()]
+        with pytest.raises(InferenceError):
+            observe(hit, sid, bad_response)
+        assert [(m.student_id, len(m.history), m.pending)
+                for m in hit.students.values()] == before
+        question = QuestionMeta(q.question_id, q.kc, q.difficulty)
+        assert predict_next(hit, sid, question) == predict_next(clean, sid, question)
+        for s in (hit, clean):
+            observe(s, sid, Interaction(q.question_id, q.kc, q.difficulty, 0))
+        assert predict_next(hit, sid, question) == predict_next(clean, sid, question)

@@ -1,0 +1,53 @@
+"""The benchmark worker's contract with the program: every mode that
+perfbench/worker.py runs works on a tiny classroom, so an API change that
+would break the benchmark fails here first."""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+from treekt import ClassroomSession, Parameters, load_tree, observe, predict_next
+from treekt.cli import main
+from treekt.online import load_stream, split_burn_in
+from treekt.tree import QuestionMeta, serialize_tree
+
+from conftest import caterpillar_tree
+
+WORKER = Path(__file__).resolve().parent.parent / "perfbench" / "worker.py"
+BURN_IN = 3
+
+
+def load_worker():
+    spec = importlib.util.spec_from_file_location("perfbench_worker", WORKER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_worker_modes_run_and_serve_predicts_as_a_frozen_session(tmp_path):
+    tree_path = tmp_path / "caterpillar.json"
+    tree_path.write_text(serialize_tree(caterpillar_tree(4)), encoding="utf-8")
+    inputs = tmp_path / "inputs"
+    assert main(["simulate", "--tree", str(tree_path), "--students", "5",
+                 "--interactions", "8", "--seed", "1", "--out", str(inputs)]) == 0
+    worker = load_worker()
+    for kind in ("fit", "eval", "serve"):
+        worker.setup(kind, inputs, BURN_IN)
+    out = tmp_path / "out"
+    worker.serve(inputs, out, 0.0, BURN_IN, None)
+
+    tree = load_tree(str(inputs / "tree.json"))
+    burn_in, remainder = split_burn_in(load_stream(str(inputs / "stream.jsonl")), BURN_IN)
+    theta = Parameters.from_json((inputs / "theta_star.json").read_text())
+    session = ClassroomSession(tree=tree, burn_in=burn_in, theta_init=theta,
+                               update_batch=None)
+    want = []
+    for rec in remainder:
+        question = QuestionMeta(rec.question_id, rec.kc, rec.difficulty)
+        want.append(predict_next(session, rec.student_id, question).prob_correct)
+        observe(session, rec.student_id, rec.interaction())
+    got = np.fromfile(out / "predictions.f64")
+    assert got.tolist() == want  # one pass: seconds=0 stops after the first
+    assert len(np.fromfile(out / "latencies.f64")) == len(remainder)
+    assert len(np.fromfile(out / "walls.f64")) == 1

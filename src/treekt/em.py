@@ -3,13 +3,17 @@
 θ travels as float columns in the kernel plan's node order, [V + 4]: γ of
 each node, then r_easy, r_med, r_hard and ε (model.Parameters.column); a
 block [V + 4, T] holds T targets, and inference.log_form gives the kernel
-their log form. The E-step sums the kernel's output over the student axis
-into accumulator arrays over the target axis, each target at its own θ;
-the M-step turns them into a new θ block by simple ratios, in numpy
-expressions over the block. Every update keeps the guessing probability
-capped and all probabilities strictly inside (0,1), which preserves the EM
-monotonicity guarantee. The one-target API (SufficientStats, e_step,
-m_step, one_step_update, fit) is the block path with T = 1.
+their log form. The E-step (pooled_e_step) runs T targets, each at its own
+θ, over one shared pool of packed counts: one kernel pass over [V, T, S]
+columns per inference.targets_per_call targets, and count-weighted sums
+that contract the pool with the posteriors once for all targets. A target
+may put its own history in place of one pool column, as replay's one-step
+updates do. The M-step turns the accumulator arrays into a new θ block by
+simple ratios, in numpy expressions over the block. Every update keeps the
+guessing probability capped and all probabilities strictly inside (0,1),
+which preserves the EM monotonicity guarantee. The one-target API
+(SufficientStats, e_step, m_step, one_step_update, fit) is the pooled path
+with T = 1 and no replaced column.
 """
 
 from __future__ import annotations
@@ -23,12 +27,12 @@ import numpy as np
 
 from .inference import (
     CELL_KEYS,
-    BatchPosteriors,
     ObservationSet,
-    batch_posteriors,
     kernel_plan,
     log_form,
     pack_counts,
+    pool_posteriors,
+    targets_per_call,
 )
 from .model import EPSILON_CAP, ParameterError, Parameters, clamp_probability
 from .tree import ConceptTree, Difficulty
@@ -96,49 +100,79 @@ class FitReport:
 
 
 class Accumulators(NamedTuple):
-    """The E-step sums of T targets, each over its S students.
+    """The E-step sums of T targets, each over its own dataset.
 
     unmastered and mastered [T, 6] weight each CELL_KEYS cell's counts by
     P(node unmastered) and P(node mastered); pair [2, V, T] sums the
     (child, parent) cells (0, 0) and (1, 0) per node; root [T] sums the
-    root's mastery marginal. ll [T], the data log-likelihood, is summed
-    from the kernel's output when read, which replay never does.
+    root's mastery marginal; n_students counts each target's students (one
+    number, or [T]). ll [T], the data log-likelihood, is summed where the
+    dataset is the pool itself (a fit); an update never reads it.
     """
 
     unmastered: np.ndarray
     mastered: np.ndarray
     pair: np.ndarray
     root: np.ndarray
-    n_students: int
-    post: BatchPosteriors | None = None
-
-    @property
-    def ll(self) -> np.ndarray:
-        return self.post.log_likelihood.reshape(len(self.root), self.n_students).sum(axis=1)
+    n_students: int | np.ndarray
+    ll: np.ndarray | None = None
 
 
-def batch_e_step(
-    tree: ConceptTree, log_theta: np.ndarray, counts: np.ndarray
+def pooled_e_step(
+    tree: ConceptTree, log_theta: np.ndarray, pool: np.ndarray,
+    own: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> Accumulators:
-    """The E-steps of T targets in one kernel pass: target t's dataset is
-    counts[:, :, t] ([V, 6, T, S]) at θ column t in log form (log_theta
-    [2V + 12, T], inference.log_form). A target's sums run over its S
-    columns in column order."""
-    n_nodes, n_cells, n_targets, n_students = counts.shape
-    if n_targets > 1:
-        log_theta = log_theta.repeat(n_students, axis=1)
-    post = batch_posteriors(
-        tree, log_theta, counts.reshape(n_nodes, n_cells, n_targets * n_students))
-    marginal = post.marginal.reshape(n_nodes, n_targets, n_students)
-    pair = post.pair.reshape(2, n_nodes, n_targets, n_students)
-    return Accumulators(
-        unmastered=np.einsum("vkts,vts->tk", counts, pair[0]),
-        mastered=np.einsum("vkts,vts->tk", counts, marginal),
-        pair=pair.sum(axis=3),
-        root=marginal[0].sum(axis=1),
-        n_students=n_students,
-        post=post,
-    )
+    """The E-steps of T targets over one shared pool of packed counts [V,
+    6, S], target t at θ column t in log form (log_theta [2V + 12, T],
+    inference.log_form), by inference.pool_posteriors.
+
+    Without own, every target's dataset is the pool. With own = (at [T],
+    counts [V, 6, T]), target t's dataset is the pool's first S - 1 columns
+    with column at[t] replaced by the target's own counts column, or joined
+    by it where at[t] = S - 1: the pool's last column holds no responses and
+    counts only for such targets. The count-weighted sums are contractions
+    of the pool with the posteriors, minus each replaced column's term,
+    plus the target's own. Targets go through the kernel
+    inference.targets_per_call at a time.
+    """
+    n_nodes, n_cells, n_columns = pool.shape
+    n_targets = log_theta.shape[1]
+    unmastered, mastered = np.empty((2, n_targets, n_cells))
+    pair, root = np.empty((2, n_nodes, n_targets)), np.empty(n_targets)
+    ll = None
+    if own is None:
+        n_students, ll = n_columns, np.empty(n_targets)
+    else:
+        at, counts = own
+        joined = at == n_columns - 1
+        n_students = n_columns - 1 + joined
+
+    def column_sum(x: np.ndarray, c: slice) -> np.ndarray:
+        """x [..., targets c, S] summed over each target's columns."""
+        if own is None:
+            return x.sum(axis=-1)
+        return x[..., :-1].sum(axis=-1) + x[..., -1] * joined[c]
+
+    step = targets_per_call(n_nodes * n_columns)
+    for a in range(0, n_targets, step):
+        c = slice(a, a + step)
+        part = None if own is None else (at[c], counts[:, :, c])
+        post = pool_posteriors(tree, log_theta[:, c], pool, part)
+        cells, marginal = post.pair, post.marginal
+        u = np.matmul(pool, cells[0].transpose(0, 2, 1)).sum(axis=0)
+        m = np.matmul(pool, marginal.transpose(0, 2, 1)).sum(axis=0)
+        if own is not None:
+            t, j = np.arange(len(part[0])), part[0]
+            delta = part[1] - pool[:, :, j]
+            u += np.einsum("vkt,vt->kt", delta, cells[0][:, t, j])
+            m += np.einsum("vkt,vt->kt", delta, marginal[:, t, j])
+        unmastered[c], mastered[c] = u.T, m.T
+        pair[:, :, c] = column_sum(cells, c)
+        root[c] = column_sum(marginal[0], c)
+        if ll is not None:
+            ll[c] = column_sum(post.log_likelihood, c)
+        del post, cells, marginal  # before the next call's arrays are made
+    return Accumulators(unmastered, mastered, pair, root, n_students, ll)
 
 
 #: The rows of the θ block after γ, as they are named in errors.
@@ -156,7 +190,7 @@ def batch_m_step(acc: Accumulators, prev: np.ndarray) -> np.ndarray:
     the likelihood monotone). The root has no pairwise cell; its γ is the
     mean root marginal. ParameterError names a result outside (0, 1).
     """
-    if acc.n_students == 0:
+    if not np.all(acc.n_students):
         raise ValueError("m_step requires statistics from a non-empty dataset")
     v, n_targets = len(prev) - 4, prev.shape[1]
     # Rows as in θ, numerators then denominators: the root's mean marginal
@@ -194,7 +228,7 @@ def _em_step(
 ) -> tuple[float, np.ndarray]:
     """One EM iteration on one θ column [V + 4, 1] over counts [V, 6, S]:
     the data log-likelihood at theta and the θ that follows it."""
-    acc = batch_e_step(tree, log_form(theta), counts[:, :, None, :])
+    acc = pooled_e_step(tree, log_form(theta), counts)
     return float(acc.ll[0]), batch_m_step(acc, theta)
 
 
@@ -206,13 +240,12 @@ def e_step(
     """Accumulate sufficient statistics; also returns the total data
     log-likelihood at the current parameters (a free by-product).
 
-    The dataset may come packed (see pack_dataset). This is batch_e_step
-    with one target, so sums run in student-id order and the order of the
-    dataset does not matter.
+    The dataset may come packed (see pack_dataset). This is pooled_e_step
+    with one target, over the students in student-id order, so the order
+    of the dataset does not matter.
     """
-    counts = pack_dataset(tree, dataset)
     order, theta = _theta(tree, params)
-    acc = batch_e_step(tree, log_form(theta), counts[:, :, None, :])
+    acc = pooled_e_step(tree, log_form(theta), pack_dataset(tree, dataset))
     pair = acc.pair[:, 1:, 0].tolist()
     u, m = acc.unmastered[0].tolist(), acc.mastered[0].tolist()
     stats = SufficientStats(
@@ -259,7 +292,12 @@ def fit(
     """Alternate E and M steps until the log-likelihood improvement drops
     below tol or max_iters iterations have been applied. Logs one warning
     summarizing the M-steps that broke the emission ordering, and one if
-    max_iters was reached without converging."""
+    max_iters was reached without converging. max_iters below 1, and a
+    tol that is NaN or negative, raise ValueError before any work."""
+    if max_iters < 1:
+        raise ValueError(f"max_iters {max_iters}: EM needs at least one iteration")
+    if not tol >= 0.0:  # also NaN
+        raise ValueError(f"tol {tol}: EM's tolerance must be a number >= 0")
     counts = pack_dataset(tree, dataset)
     if counts.shape[2] == 0:
         raise ValueError("fit requires a non-empty dataset")

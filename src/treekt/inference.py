@@ -10,7 +10,10 @@ A single student is a batch of one. Responses are packed through one slot
 table built with the tree's plan. Counts make every posterior independent
 of the order responses arrived in, bit for bit. Parameters reach the kernel
 in log form, built from θ columns by log_form with one np.log and one
-np.log1p.
+np.log1p. The kernel is the emission sums, then the two passes (_passes),
+which take any column shape that the log γ rows broadcast against:
+batch_posteriors runs [V, C] columns, and pool_posteriors runs T targets'
+copies of one shared pool as [V, T, S] without copying it.
 """
 
 from __future__ import annotations
@@ -86,6 +89,29 @@ def observation_set(
 #: (about 4.5 ns an element against 40 ns for np.logaddexp).
 _NARROW = 16
 
+#: The one chunk-size rule: callers that split their columns over several
+#: kernel calls give a call as many targets as fit in CALL_CELLS cells
+#: (nodes x columns, 80 KB an array), and at least 2. A target is a
+#: predicted student, or an update's whole burn-in pool: 8 targets a call
+#: on a 12-node tree and a pool of 100, 2 on a 60-node tree and a pool of
+#: 300. Twice the cells put eval-online's peak RSS 0.8 MB above 8 targets'
+#: for no clear gain; on the wide pool 2 targets a call replayed in 3.4-3.7
+#: s, 1 in 4.2-4.6 s and 4 in 5.4-6.0 s. A fixed rule keeps every result
+#: the same across runs.
+CALL_CELLS = 10_000
+
+
+def targets_per_call(target_cells: int) -> int:
+    """How many targets of target_cells cells each one kernel call takes."""
+    return max(2, CALL_CELLS // max(1, target_cells))
+
+
+def _sum_rows(incidence: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """incidence [m, n] times rows [n, *columns], as [m, *columns]."""
+    if rows.ndim == 2:
+        return incidence.dot(rows)
+    return incidence.dot(rows.reshape(len(rows), -1)).reshape(len(incidence), *rows.shape[1:])
+
 
 class _Light(NamedTuple):
     """Finished messages of light children, added into their parents'
@@ -100,7 +126,7 @@ class _Light(NamedTuple):
         heads, parents, incidence = self
         x = up[heads]
         if incidence is not None:
-            x = incidence.dot(x)
+            x = _sum_rows(incidence, x)
         shifted[parents] += x
 
 
@@ -128,7 +154,7 @@ class _Level(NamedTuple):
         level_up += low
         if incidence is not None:
             parents = shifted[above]
-            np.add(parents, incidence.dot(level_up), out=parents)
+            np.add(parents, _sum_rows(incidence, level_up), out=parents)
 
 
 class _Round(NamedTuple):
@@ -236,7 +262,7 @@ def _scan(rounds: list[_Round], log_gamma, shifted, up, log_p0) -> None:
     b_i + up_{i+1} - up_i telescopes to A_{m+1} - A_0 at v_m; each round
     writes that into log_p0, and the rounds, root's path first, then add
     their heads' parents' rows (row V, above the root, is 0)."""
-    width = shifted.shape[1]
+    columns = shifted.shape[1:]
     for r in rounds:
         if r.grid is None:
             b = shifted[r.nodes]
@@ -251,8 +277,8 @@ def _scan(rounds: list[_Round], log_gamma, shifted, up, log_p0) -> None:
             t[0] = 0.0
             a = np.logaddexp.accumulate(t - s, axis=0)
             s += a
-            up[r.nodes] = s.reshape(-1, width).take(r.cells, axis=0)
-            a = a.reshape(-1, width)
+            up[r.nodes] = s.reshape(-1, *columns).take(r.cells, axis=0)
+            a = a.reshape(-1, *columns)
             log_p0[r.nodes] = a.take(r.below, axis=0) - a.take(r.head, axis=0)
         if r.light is not None:
             r.light.add(shifted, up)
@@ -395,15 +421,15 @@ class BatchPosteriors:
     """Kernel output, node axis in plan order. cells holds the (child,
     parent) cells (0, 0), (1, 0), (1, 1); (0, 1) is zero, as a mastered
     parent entails the child. The root's parent counts as unmastered.
-    pair [2, V, S] (cells (0, 0) and (1, 0), what an E-step reads), cells
-    [3, V, S] and log_likelihood [S] are built on first read, which a
-    prediction never makes, from the kernel's log P(unmastered | data)
-    rows (row V is 0) and upward messages; the counts must not change
-    before then."""
+    marginal is [V, *columns]; pair [2, V, *columns] (cells (0, 0) and
+    (1, 0), what an E-step reads), cells [3, V, *columns] and
+    log_likelihood [*columns] are built on first read, which a prediction
+    never makes, from the kernel's log P(unmastered | data) rows (row V is
+    0) and upward messages; the counts must not change before then."""
 
     def __init__(self, plan, marginal, log_p0, log_gamma, up, log_e1, counts):
         self.plan = plan
-        self.marginal = marginal  # [V, S]
+        self.marginal = marginal
         self._messages = (log_p0, log_gamma, up, log_e1, counts)
         self._pair = self._cells = self._log_likelihood = None
 
@@ -431,10 +457,10 @@ class BatchPosteriors:
         if self._log_likelihood is None:
             # lb1 of the root is every response's log-emission at mastery.
             _, _, up, log_e1, counts = self._messages
-            if log_e1.shape[1] == 1:
+            if log_e1.shape[1:] == (1,):
                 ll = log_e1[:, 0] @ counts.sum(axis=0)
             else:
-                ll = np.einsum("kc,kc->c", counts.sum(axis=0), log_e1)
+                ll = np.einsum("k...,k...->...", counts.sum(axis=0), log_e1)
             ll += up[0]
             self._log_likelihood = ll
         return self._log_likelihood
@@ -457,14 +483,13 @@ def batch_posteriors(
     does both passes by heavy-path scan (_scan), a constant number of
     array calls per round of heavy paths. Otherwise the upward pass goes
     one level at a time (plan.levels) and pointer doubling forms the root
-    path sums in ceil(log2 depth) steps.
+    path sums in ceil(log2 depth) steps. The emission sums are one matmul
+    for a shared θ column, else one einsum; _passes does the rest.
     """
     plan = kernel_plan(tree)
     if isinstance(params, Parameters):
         params = log_form(params.column(plan.order)[:, None])
-    v = len(plan.order)
-    log_gamma, log1m_gamma = params[:v], params[v:2 * v]
-    log_e1, log_ratio = params[2 * v:2 * v + 6], params[2 * v + 6:]
+    log_gamma, log1m_gamma, log_e1, log_ratio = _log_parts(params)
     # shifted = lb0 - lb1 + log(1 - gamma) and up = bt0 - lb1, per node.
     shared = log_ratio.shape[1] == 1  # then a matmul does the emission sums
     if shared:
@@ -472,13 +497,28 @@ def batch_posteriors(
     else:
         shifted = np.einsum("vkc,kc->vc", counts, log_ratio)
     shifted += log1m_gamma
+    return _passes(plan, log_gamma, shifted, log_e1, counts)
+
+
+def _log_parts(log_theta: np.ndarray) -> tuple[np.ndarray, ...]:
+    """log γ, log(1 - γ), log_e1 and log_ratio: the row blocks of log_form."""
+    v = (len(log_theta) - 12) // 2
+    return (log_theta[:v], log_theta[v:2 * v], log_theta[2 * v:2 * v + 6],
+            log_theta[2 * v + 6:])
+
+
+def _passes(plan: KernelPlan, log_gamma: np.ndarray, shifted: np.ndarray,
+            log_e1: np.ndarray, counts: np.ndarray | None) -> BatchPosteriors:
+    """The upward and the downward pass over columns [V, *columns], shifted
+    (updated in place) holding each node's emission sums plus log(1 - γ);
+    log_gamma broadcasts against it. log_e1 and counts go to the result
+    for its log-likelihood."""
     up = np.empty_like(shifted)
-    width = shifted.shape[1]
     # log P(v unmastered) in rows 0 .. V - 1; row V, above the root, is 0.
-    buf = np.empty((v + 1, width))
+    buf = np.empty((len(shifted) + 1, *shifted.shape[1:]))
     buf[-1] = 0.0
     log_p0 = buf[:-1]
-    if width < _NARROW and plan.scan is not None:
+    if shifted.size < _NARROW * len(shifted) and plan.scan is not None:
         _scan(plan.scan, log_gamma, shifted, up, buf)
     else:
         for level in plan.levels:
@@ -490,6 +530,29 @@ def batch_posteriors(
         for jump in plan.jumps:
             log_p0 += buf.take(jump, axis=0)  # a copy: every row reads step k - 1
     return BatchPosteriors(plan, -np.expm1(log_p0), buf, log_gamma, up, log_e1, counts)
+
+
+def pool_posteriors(
+    tree: ConceptTree, log_theta: np.ndarray, pool: np.ndarray,
+    own: tuple[np.ndarray, np.ndarray] | None = None,
+) -> BatchPosteriors:
+    """The kernel on T targets' copies of one pool of packed counts [V, 6,
+    S]: posteriors of every column [V, T, S], target t's at θ column t in
+    log form (log_theta [2V + 12, T]). Nothing copies the pool: its
+    emission sums are one matmul per node of the log-ratio block [T, 6] by
+    the node's [6, S] counts, and each target's log γ broadcasts over the
+    pool axis. own = (at [T], counts [V, 6, T]) puts each target's own
+    counts column in place of its pool column at[t]; such a result has no
+    log_likelihood."""
+    plan = kernel_plan(tree)
+    log_gamma, log1m_gamma, log_e1, log_ratio = _log_parts(log_theta)
+    shifted = np.matmul(log_ratio.T, pool)
+    if own is not None:
+        at, counts = own
+        shifted[:, np.arange(len(at)), at] = np.einsum("vkt,kt->vt", counts, log_ratio)
+    shifted += log1m_gamma[:, :, None]
+    return _passes(plan, log_gamma[:, :, None], shifted, log_e1[:, :, None],
+                   pool if own is None else None)
 
 
 @dataclass(frozen=True, eq=False)

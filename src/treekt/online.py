@@ -11,29 +11,31 @@ never per prediction.
 
 So the t-th update of one student does not depend on any other student's,
 and work runs in rounds of distinct students. A round predicts one question
-per student in one kernel call, each column at that student's θ, then
-reveals one response per student and runs every update that falls due as
-one E-step over a [V, 6, T, S] slab: per target, the burn-in pool with the
-target's column replaced by (or, for a newcomer, joined by) the target's
-full history. The due students' θ columns go through the E-step, the
-M-step and the log form as [·, T] blocks. Slabs hold at most SLAB_CELLS
-cells. replay runs the stream as rounds. predict_next is one kernel call on
-one student's column, counted from the flat slot list each model keeps of
-its conditioning set; observe is a round of one student, which checks the
-response before it changes anything and, in a frozen session, only appends.
+per student in kernel calls over the students, each column at that
+student's θ, then reveals one response per student and runs every update
+that falls due as one em.pooled_e_step over the session's pool, [V, 6, S +
+1]: the burn-in students in id order and a last column with no responses.
+A target's history stands in its own pool column, or, for a newcomer, in
+that last column; nothing copies the pool. The due students' θ columns go
+through the E-step, one M-step and one log form as [·, T] blocks.
+inference.targets_per_call sizes every kernel call. replay runs the stream
+as rounds. predict_next is one kernel call on one student's column,
+counted from the flat slot list each model keeps of its conditioning set;
+observe is a round of one student, which checks the response before it
+changes anything and, in a frozen session, only appends.
 """
 
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .em import FitReport, batch_e_step, batch_m_step, fit
+from .em import FitReport, batch_m_step, fit, pooled_e_step
 from .inference import (
     CELL_KEYS,
     InferenceError,
@@ -45,15 +47,10 @@ from .inference import (
     leaf_error,
     log_form,
     pack_counts,
+    targets_per_call,
 )
 from .model import Parameters, default_parameters
 from .tree import ConceptTree, Difficulty, QuestionMeta, utf8_line
-
-#: Cells (targets x pool columns x nodes) of one slab of one-step updates.
-#: It bounds the memory of a round whatever the pool's size, and, being
-#: fixed, keeps every result the same from run to run.
-SLAB_CELLS = 4800
-
 
 @dataclass(frozen=True)
 class StreamRecord:
@@ -108,8 +105,11 @@ class ClassroomSession:
 
     update_batch controls how many new responses accumulate before a
     one-step EM refresh (1 = after every response); None freezes parameters,
-    which is how a ground-truth model is scored on a stream. A theta_init
-    with no gamma for some node of the tree raises ParameterError here.
+    which is how a ground-truth model is scored on a stream. Built, a
+    session checks its inputs before any work: a theta_init with no gamma
+    for some node of the tree raises ParameterError, an update_batch other
+    than None or an int >= 1 ValueError, and a burn-in response with no
+    kernel cell (inference.cell_slots) InferenceError.
     """
 
     tree: ConceptTree
@@ -119,9 +119,18 @@ class ClassroomSession:
     students: dict[str, StudentModel] = field(default_factory=dict)
     update_batch: int | None = 1
     _init: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _burn_in_slots: dict[str, list[int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.theta_init.column(self.tree.nodes)  # ParameterError for a node with no γ
+        batch = self.update_batch
+        if batch is not None and not (isinstance(batch, int) and batch >= 1):
+            raise ValueError(f"update_batch must be None or an int >= 1, got {batch!r}")
+        slots = iter(cell_slots(self.tree, [it for history in self.burn_in.values()
+                                            for it in history]))
+        self._burn_in_slots = {sid: list(islice(slots, len(history)))
+                               for sid, history in self.burn_in.items()}
 
     def _init_columns(self) -> tuple[np.ndarray, np.ndarray]:
         """theta_init as a θ column and its log form, built once per value
@@ -143,13 +152,13 @@ class ClassroomSession:
         """The conditioning set as one kernel column [V, 6, 1], counted from
         its slot list by one bincount. A session that updates keeps it on
         the student's model, where each revealed response is added, as its
-        slabs read it every round; it is no larger than the student's column
-        in the burn-in pool. A frozen session counts it on each read."""
+        updates read it every round; it is no larger than the student's
+        column in the burn-in pool. A frozen session counts it on each read."""
         model = self.students.get(student_id)
         if model is not None and model.packed is not None:
             return model.packed
         slots = (model.slots if model is not None
-                 else cell_slots(self.tree, self.burn_in.get(student_id, ())))
+                 else self._burn_in_slots.get(student_id, ()))
         v = len(self.tree.nodes)
         counts = np.bincount(slots, minlength=v * len(CELL_KEYS)).astype(np.float64)
         counts = counts.reshape(v, len(CELL_KEYS), 1)
@@ -158,28 +167,16 @@ class ClassroomSession:
         return counts
 
     @cached_property
-    def pool_ids(self) -> list[str]:
-        return sorted(self.burn_in)
+    def pool_columns(self) -> dict[str, int]:
+        """Each burn-in student's column of the pool: student-id order."""
+        return {sid: j for j, sid in enumerate(sorted(self.burn_in))}
 
     @cached_property
-    def pool_counts(self) -> np.ndarray:
-        """The burn-in pool as kernel counts in student-id order, packed once."""
-        return pack_counts(self.tree, [self.burn_in[sid] for sid in self.pool_ids])
-
-    def _slab(self, targets: Sequence[str]) -> np.ndarray:
-        """The update datasets of T targets as [V, 6, T, S]: per target, the
-        pool in student-id order with the target's column replaced by its
-        full history. Targets are all in the pool, or all newcomers, whose
-        column is inserted in order instead."""
-        pool = self.pool_counts
-        columns = np.concatenate([*map(self._history_counts, targets)], axis=2)
-        at = [bisect_left(self.pool_ids, sid) for sid in targets]
-        if targets[0] in self.burn_in:
-            slab = np.repeat(pool[:, :, None, :], len(targets), axis=2)
-            slab[:, :, np.arange(len(targets)), at] = columns
-            return slab
-        return np.stack([np.insert(pool, j, columns[:, :, t], axis=2)
-                         for t, j in enumerate(at)], axis=2)
+    def pool(self) -> np.ndarray:
+        """The burn-in pool as kernel counts [V, 6, S + 1]: a column per
+        student in student-id order, then one with no responses, where an
+        update joins a newcomer's history (em.pooled_e_step). Packed once."""
+        return pack_counts(self.tree, [*map(self.burn_in.get, self.pool_columns), ()])
 
 
 def burn_in_fit(
@@ -203,7 +200,7 @@ def burn_in_fit(
         theta_init=default_parameters(tree) if init is None else init,
         update_batch=update_batch,
     )
-    session.fit_report = fit(tree, session.pool_counts, session.theta_init,
+    session.fit_report = fit(tree, session.pool[:, :, :-1], session.theta_init,
                              max_iters=max_iters, tol=tol)
     session.theta_init = session.fit_report.params
     return session
@@ -218,11 +215,19 @@ def _block(columns: Sequence[np.ndarray]) -> np.ndarray:
 _RATE_ROW = {d: r for r, d in enumerate(Difficulty)}
 
 
-def _kc_rows(plan, questions: Iterable[QuestionMeta]) -> list[int]:
+def _rows(plan, questions: Iterable[QuestionMeta]) -> tuple[list[int], list[int]]:
+    """Each question's node row in the kernel's output and its rate's row in
+    a θ column. InferenceError names an unknown KC or a difficulty that is
+    not a Difficulty."""
     try:
-        return [plan.index[q.kc] for q in questions]
+        nodes = [plan.index[q.kc] for q in questions]
     except KeyError as exc:
         raise InferenceError(f"unknown KC: {exc.args[0]!r}") from None
+    try:
+        rates = [len(plan.order) + _RATE_ROW[q.difficulty] for q in questions]
+    except KeyError as exc:
+        raise InferenceError(f"difficulty must be a Difficulty, got {exc.args[0]!r}") from None
+    return nodes, rates
 
 
 def _blend(mastery, epsilon, phi):
@@ -237,15 +242,16 @@ def _predict_round(
 ) -> tuple[list[float], list[float]]:
     """P(correct) and the posterior mastery of the question's node, for one
     question for each of distinct students, every student at their own θ
-    and history, in kernel calls of SLAB_CELLS (see _blend)."""
+    and history, in kernel calls of inference.targets_per_call students
+    (see _blend)."""
     plan = kernel_plan(session.tree)
-    v = len(plan.order)
-    size = max(1, SLAB_CELLS // v)
+    size = targets_per_call(len(plan.order))
     init = session._init_columns()
+    nodes, rates = _rows(plan, questions)
     prob: list[float] = []
     mastery: list[float] = []
     for a in range(0, len(student_ids), size):
-        chunk, asked = student_ids[a:a + size], questions[a:a + size]
+        chunk = student_ids[a:a + size]
         thetas, logs = zip(*[init if m is None else (m.theta, m.log_theta)
                              for m in map(session.students.get, chunk)])
         # A chunk at one θ (a frozen session) is one shared kernel column.
@@ -256,8 +262,8 @@ def _predict_round(
             columns = np.arange(len(chunk))
         counts = np.concatenate([*map(session._history_counts, chunk)], axis=2)
         post = batch_posteriors(session.tree, log_theta, counts)
-        p1 = post.marginal[_kc_rows(plan, asked), np.arange(len(chunk))]
-        phi = theta[[v + _RATE_ROW[q.difficulty] for q in asked], columns]
+        p1 = post.marginal[nodes[a:a + size], np.arange(len(chunk))]
+        phi = theta[rates[a:a + size], columns]
         prob += _blend(p1, theta[-1, columns], phi).tolist()
         mastery += p1.tolist()
     return prob, mastery
@@ -267,8 +273,10 @@ def _reveal_round(
     session: ClassroomSession, events: Sequence[tuple[str, Interaction]]
 ) -> None:
     """Append one response to each of distinct students' histories, then
-    run every one-step update that falls due, in slabs of SLAB_CELLS. Any
-    response with no kernel cell raises InferenceError before anything changes."""
+    run every one-step update that falls due as one em.pooled_e_step over
+    the session's pool and one M-step over the due students' θ block. Any
+    response with no kernel cell raises InferenceError before anything
+    changes."""
     tree, due = session.tree, []
     slots = cell_slots(tree, [interaction for _, interaction in events])
     for (student_id, interaction), slot in zip(events, slots):
@@ -276,7 +284,7 @@ def _reveal_round(
         if model is None:
             model = StudentModel(student_id, kernel_plan(tree).order,
                                  *session._init_columns(),
-                                 slots=cell_slots(tree, session.burn_in.get(student_id, ())))
+                                 slots=list(session._burn_in_slots.get(student_id, ())))
             session.students[student_id] = model
         if model.packed is not None:
             model.packed.flat[slot] += 1.0
@@ -289,19 +297,15 @@ def _reveal_round(
             due.append(model)
     if not due:
         return
-    for inserted in (False, True):
-        group = [m for m in due if (m.student_id not in session.burn_in) == inserted]
-        size = max(1, SLAB_CELLS // (len(tree.nodes) * (len(session.burn_in) + inserted)))
-        for a in range(0, len(group), size):
-            chunk = group[a:a + size]
-            slab = session._slab([m.student_id for m in chunk])
-            # Left unnamed, the accumulators and the kernel output they hold
-            # are freed before the next slab is built.
-            theta = batch_m_step(
-                batch_e_step(tree, _block([m.log_theta for m in chunk]), slab),
-                _block([m.theta for m in chunk]))
-            for model, column, log_column in zip(chunk, theta.T, log_form(theta).T):
-                model.theta, model.log_theta, model.pending = column, log_column, 0
+    # A newcomer's history joins the pool in its last column, which holds
+    # no responses.
+    spare = len(session.pool_columns)
+    at = np.array([session.pool_columns.get(m.student_id, spare) for m in due])
+    own = np.concatenate([session._history_counts(m.student_id) for m in due], axis=2)
+    acc = pooled_e_step(tree, _block([m.log_theta for m in due]), session.pool, (at, own))
+    theta = batch_m_step(acc, _block([m.theta for m in due]))
+    for model, column, log_column in zip(due, theta.T, log_form(theta).T):
+        model.theta, model.log_theta, model.pending = column, log_column, 0
 
 
 def observe(
@@ -322,14 +326,14 @@ def predict_next(
     and an empty personal history. One kernel call on the student's
     column, at the student's θ."""
     plan = kernel_plan(session.tree)
-    (row,) = _kc_rows(plan, [question])
+    (row,), (rate,) = _rows(plan, [question])
     model = session.students.get(student_id)
     theta, log_theta = (session._init_columns() if model is None
                         else (model.theta, model.log_theta))
     post = batch_posteriors(session.tree, log_theta[:, None],
                             session._history_counts(student_id))
     mastery = post.marginal[row, 0]
-    phi = theta[len(plan.order) + _RATE_ROW[question.difficulty]]
+    phi = theta[rate]
     return Prediction(question.question_id, float(_blend(mastery, theta[-1], phi)),
                       float(mastery))
 
@@ -380,6 +384,9 @@ _DIFFICULTY = {d.value: d for d in Difficulty}
 #: Decodes the JSON value at the start of a string, without json.loads'
 #: whitespace and end checks.
 _raw_decode = json.JSONDecoder().raw_decode
+
+#: A str as json.dumps writes it, quoted and ASCII-escaped.
+_json_string = json.encoder.encode_basestring_ascii
 
 
 def _json_line(line: str):
@@ -480,18 +487,16 @@ def load_stream(path: str, tree: ConceptTree | None = None) -> list[StreamRecord
 
 
 def prediction_lines(records: Iterable[PredictionRecord]) -> Iterator[str]:
-    """predictions.jsonl one record at a time, each line with its newline."""
+    """predictions.jsonl one record at a time, each line with its newline:
+    the bytes of json.dumps(..., sort_keys=True) on the record's fields,
+    formatted directly, ids through json's own string encoder and numbers
+    as json writes them (p_correct, a probability, is finite)."""
     for r in records:
-        yield json.dumps(
-            {
-                "student_id": r.student_id,
-                "question_id": r.question_id,
-                "p_correct": r.p_correct,
-                "actual": r.actual,
-                "seq": r.seq,
-            },
-            sort_keys=True,
-        ) + "\n"
+        yield (f'{{"actual": {int.__repr__(r.actual)}, '
+               f'"p_correct": {float.__repr__(r.p_correct)}, '
+               f'"question_id": {_json_string(r.question_id)}, '
+               f'"seq": {int.__repr__(r.seq)}, '
+               f'"student_id": {_json_string(r.student_id)}}}\n')
 
 
 def split_burn_in(

@@ -1,7 +1,10 @@
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -227,6 +230,32 @@ class TestFitAndEval:
                 "--out", str(out), "--burn-in", "4", "--tol", "1e-4",
                 "--threads", threads,
             ]) == 0
+            outputs.append({
+                name: (out / name).read_bytes()
+                for name in ["metrics.json", "predictions.jsonl",
+                             "predictions.csv"]
+            })
+        assert outputs[0] == outputs[1]
+
+    def test_eval_deterministic_across_blas_threads(self, tmp_path):
+        # The E-step's contractions go through BLAS, whose thread count
+        # must not move a byte of the outputs.
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--nodes", "20", "--students", "100",
+                     "--interactions", "13", "--seed", "3", "--out", str(sim)]) == 0
+        src = str(Path(cli.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"blas{threads}"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            done = subprocess.run(
+                [sys.executable, "-m", "treekt.cli", "eval",
+                 "--tree", str(sim / "tree.json"), "--stream", str(sim / "stream.jsonl"),
+                 "--out", str(out), "--burn-in", "10"],
+                env=env, capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
             outputs.append({
                 name: (out / name).read_bytes()
                 for name in ["metrics.json", "predictions.jsonl",

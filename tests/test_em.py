@@ -1,4 +1,5 @@
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from treekt import (
     Interaction,
     Parameters,
     StudentObservations,
+    burn_in_fit,
     default_parameters,
     e_step,
     fit,
@@ -188,6 +190,37 @@ class TestFit:
         assert report.iterations < 500
         assert abs(report.log_likelihood_trace[-1]
                    - report.log_likelihood_trace[-2]) < 1e-8
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"max_iters": 0}, "max_iters 0: EM needs at least one iteration"),
+        ({"max_iters": -3}, "max_iters -3: EM needs at least one iteration"),
+        ({"tol": float("nan")}, "tol nan: EM's tolerance must be a number >= 0"),
+        ({"tol": -1e-6}, "tol -1e-06: EM's tolerance must be a number >= 0"),
+    ])
+    def test_bounds_it_cannot_honour(self, monkeypatch, kwargs, message):
+        # Checked before any work: the E-step is never run.
+        import treekt.em
+
+        rng = np.random.default_rng(5)
+        tree = random_tree(rng, 5)
+        dataset = make_dataset(tree, random_parameters(tree, rng), rng, n_students=4)
+        burn_in = {s.student_id: list(s.obs) for s in dataset}
+
+        def no_e_step(*args):
+            raise AssertionError("E-step ran")
+
+        monkeypatch.setattr(treekt.em, "pooled_e_step", no_e_step)
+        for call in (lambda: fit(tree, dataset, default_parameters(tree), **kwargs),
+                     lambda: burn_in_fit(tree, burn_in, **kwargs)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call()
+
+    def test_edge_bounds_stay_valid(self):
+        rng = np.random.default_rng(6)
+        tree = random_tree(rng, 5)
+        dataset = make_dataset(tree, random_parameters(tree, rng), rng, n_students=4)
+        report = fit(tree, dataset, default_parameters(tree), max_iters=1, tol=0.0)
+        assert report.iterations == 1 and len(report.log_likelihood_trace) == 1
 
     def test_empty_dataset_rejected(self):
         tree = single_node_tree()

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -23,7 +24,14 @@ from treekt import (
     replay,
     split_burn_in,
 )
-from treekt.inference import InferenceError, pack_counts
+from treekt.em import pooled_e_step
+from treekt.inference import (
+    InferenceError,
+    batch_posteriors,
+    kernel_plan,
+    log_form,
+    pack_counts,
+)
 from treekt.model import ParameterError
 from treekt.online import (
     StreamFormatError,
@@ -40,7 +48,7 @@ from treekt.simulate import (
 )
 from treekt.tree import QuestionMeta
 
-from conftest import caterpillar_tree, random_parameters, star_tree
+from conftest import caterpillar_tree, random_observations, random_parameters, star_tree
 
 
 def small_classroom(seed=0, n_students=6, n_interactions=12, n_nodes=6):
@@ -585,15 +593,19 @@ class TestLockStepReplay:
             assert_same_params(other.params, model.params)
 
     def test_chunked_slabs_equal_one_slab(self, monkeypatch):
-        # The slab budget only splits rounds into kernel calls.
+        # The call size only splits rounds into kernel calls: the default
+        # (every target of a round in one call here), 2 targets a call, and 1.
+        import treekt.em
         import treekt.online
 
         tree, _, stream = self.classroom("random", 25)
         burn_in, remainder = split_burn_in(stream, 4)
         fitted = burn_in_fit(tree, burn_in, tol=1e-4)
         runs = []
-        for cells in (treekt.online.SLAB_CELLS, 2 * len(tree.nodes) * len(burn_in), 1):
-            monkeypatch.setattr(treekt.online, "SLAB_CELLS", cells)
+        for size in (None, 2, 1):
+            if size is not None:
+                for module in (treekt.em, treekt.online):
+                    monkeypatch.setattr(module, "targets_per_call", lambda cells: size)
             s = ClassroomSession(tree=tree, burn_in=burn_in,
                                  theta_init=fitted.theta_init)
             runs.append((replay(s, remainder), s))
@@ -687,3 +699,162 @@ class TestReadPath:
         for s in (hit, clean):
             observe(s, sid, Interaction(q.question_id, q.kc, q.difficulty, 0))
         assert predict_next(hit, sid, question) == predict_next(clean, sid, question)
+
+
+def slab_e_step(tree, log_theta, slab):
+    """The E-steps of T targets over a stacked slab [V, 6, T, S] in one
+    batch_posteriors call, log_theta repeated per slab column: how replay
+    ran its updates before the pooled E-step, kept as its reference."""
+    n_nodes, n_cells, n_targets, n_students = slab.shape
+    post = batch_posteriors(tree, log_theta.repeat(n_students, axis=1),
+                            slab.reshape(n_nodes, n_cells, -1))
+    marginal = post.marginal.reshape(n_nodes, n_targets, n_students)
+    pair = post.pair.reshape(2, n_nodes, n_targets, n_students)
+    return {"unmastered": np.einsum("vkts,vts->tk", slab, pair[0]),
+            "mastered": np.einsum("vkts,vts->tk", slab, marginal),
+            "pair": pair.sum(axis=3), "root": marginal[0].sum(axis=1),
+            "ll": post.log_likelihood.reshape(n_targets, n_students).sum(axis=1)}
+
+
+class TestPooledEStep:
+    """pooled_e_step contracts one shared pool with every target's
+    posteriors; it must equal the stacked per-target slabs it replaced."""
+
+    @staticmethod
+    def setup(shape, seed, n_students=9, n_targets=6):
+        rng = np.random.default_rng(seed)
+        tree = caterpillar_tree(12) if shape == "caterpillar" else random_tree(rng, 11)
+        pool = pack_counts(tree, [random_observations(tree, rng, 12)
+                                  for _ in range(n_students)])
+        own = pack_counts(tree, [random_observations(tree, rng, 20)
+                                 for _ in range(n_targets)])
+        order = kernel_plan(tree).order
+        theta = np.stack([random_parameters(tree, rng).column(order)
+                          for _ in range(n_targets)], axis=1)
+        return rng, tree, pool, own, log_form(theta)
+
+    @staticmethod
+    def assert_close(acc, want, targets, n_students):
+        for name in ("unmastered", "mastered", "root"):
+            assert np.abs(getattr(acc, name)[targets] - want[name]).max() <= 1e-12
+        assert np.abs(acc.pair[:, :, targets] - want["pair"]).max() <= 1e-12
+        assert np.all(np.broadcast_to(acc.n_students, acc.root.shape)[targets] == n_students)
+
+    @pytest.mark.parametrize("shape, seed", [("random", 31), ("caterpillar", 32)])
+    @pytest.mark.parametrize("size", [None, 1])
+    def test_members_and_newcomers_equal_stacked_slabs(self, monkeypatch, shape,
+                                                       seed, size):
+        import treekt.em
+
+        if size is not None:
+            monkeypatch.setattr(treekt.em, "targets_per_call", lambda cells: size)
+        rng, tree, pool, own, log_theta = self.setup(shape, seed)
+        n_students = pool.shape[2]
+        members = rng.choice(n_students, 3, replace=False)
+        inserted = rng.integers(0, n_students + 1, 3)
+        # Targets 0-2 replace their pool column; 3-5 are newcomers, whose
+        # history the old slabs inserted in id order and the pool appends.
+        spare = np.concatenate([pool, np.zeros_like(pool[:, :, :1])], axis=2)
+        at = np.concatenate([members, [n_students] * 3])
+        acc = pooled_e_step(tree, log_theta, spare, (at, own))
+        assert acc.ll is None
+
+        slab = np.repeat(pool[:, :, None, :], 3, axis=2)
+        slab[:, :, np.arange(3), members] = own[:, :, :3]
+        want = slab_e_step(tree, log_theta[:, :3], slab)
+        self.assert_close(acc, want, slice(0, 3), n_students)
+        slab = np.stack([np.insert(pool, j, own[:, :, 3 + t], axis=2)
+                         for t, j in enumerate(inserted)], axis=2)
+        want_new = slab_e_step(tree, log_theta[:, 3:], slab)
+        self.assert_close(acc, want_new, slice(3, 6), n_students + 1)
+
+    @pytest.mark.parametrize("shape, seed", [("random", 33), ("caterpillar", 34)])
+    def test_without_own_columns_every_target_sees_the_pool(self, shape, seed):
+        _, tree, pool, _, log_theta = self.setup(shape, seed)
+        acc = pooled_e_step(tree, log_theta, pool)
+        slab = np.repeat(pool[:, :, None, :], log_theta.shape[1], axis=2)
+        want = slab_e_step(tree, log_theta, slab)
+        self.assert_close(acc, want, slice(None), pool.shape[2])
+        assert np.abs(acc.ll - want["ll"]).max() <= 1e-12
+
+
+class TestSessionChecks:
+    """A session checks update_batch and every burn-in response when it is
+    built, before any work."""
+
+    @staticmethod
+    def inputs():
+        tree, bank, stream = small_classroom(seed=15, n_students=3)
+        burn_in, _ = split_burn_in(stream, 3)
+        return tree, bank, burn_in
+
+    @pytest.mark.parametrize("batch", [0, -1, 1.5, "2"])
+    def test_update_batch_must_be_none_or_a_positive_int(self, batch):
+        tree, _, burn_in = self.inputs()
+        message = f"^update_batch must be None or an int >= 1, got {re.escape(repr(batch))}$"
+        with pytest.raises(ValueError, match=message):
+            ClassroomSession(tree=tree, burn_in=burn_in,
+                             theta_init=default_parameters(tree), update_batch=batch)
+        with pytest.raises(ValueError, match=message):
+            burn_in_fit(tree, burn_in, update_batch=batch)
+
+    @pytest.mark.parametrize("batch", [None, 1, 2])
+    def test_valid_update_batch(self, batch):
+        tree, _, burn_in = self.inputs()
+        ClassroomSession(tree=tree, burn_in=burn_in,
+                         theta_init=default_parameters(tree), update_batch=batch)
+
+    @pytest.mark.parametrize("bad, message", [
+        ("internal", "observation KC '{root}' is not a leaf"),
+        ("unknown", "observation references unknown KC 'nope'"),
+        ("correct", "correct must be 0 or 1, got 2"),
+        ("difficulty", "difficulty must be a Difficulty, got 'weird'"),
+    ])
+    def test_burn_in_response_without_a_cell(self, bad, message):
+        # Before, a response on the root in b's burn-in raised only when b
+        # was first read, after a's response of the same round was applied.
+        tree, bank, _ = self.inputs()
+        q = bank[0]
+        good = Interaction(q.question_id, q.kc, q.difficulty, 1)
+        bad_response = {
+            "internal": Interaction("q", tree.root, q.difficulty, 1),
+            "unknown": Interaction("q", "nope", q.difficulty, 1),
+            "correct": Interaction("q", q.kc, q.difficulty, 2),
+            "difficulty": Interaction("q", q.kc, "weird", 1),
+        }[bad]
+        expected = f"^{re.escape(message.format(root=tree.root))}$"
+        with pytest.raises(InferenceError, match=expected):
+            ClassroomSession(tree=tree, burn_in={"a": [good], "b": [bad_response]},
+                             theta_init=default_parameters(tree))
+
+    def test_predict_next_names_a_difficulty_that_is_not_one(self):
+        tree, bank, burn_in = self.inputs()
+        session = ClassroomSession(tree=tree, burn_in=burn_in,
+                                   theta_init=default_parameters(tree))
+        q = bank[0]
+        with pytest.raises(InferenceError,
+                           match="^difficulty must be a Difficulty, got 'weird'$"):
+            predict_next(session, sorted(burn_in)[0], QuestionMeta("q", q.kc, "weird"))
+        with pytest.raises(InferenceError,
+                           match="^difficulty must be a Difficulty, got 'weird'$"):
+            replay(session, [StreamRecord("m_new", "q", q.kc, "weird", 1, 0)])
+        assert session.students == {}
+
+
+class TestPredictionLines:
+    """prediction_lines formats each line itself; its bytes must be
+    json.dumps(..., sort_keys=True) of the record's fields."""
+
+    IDS = ["s1", "qé", "☃ snow", "\U0001F600", 'say "hi"', "back\\slash",
+           "ctl\x00\x01\x1f\x7f", "tab\tnew\nline\r", "/slash", ""]
+    PROBS = [5e-324, 1.0 - 2.0 ** -53, 0.1 + 0.2, 0.5, 1e-17, 2.0 ** -1074 * 3]
+
+    def test_bytes_equal_json_dumps(self):
+        records = [PredictionRecord(sid, qid, p, i % 2, i * 7919)
+                   for i, (sid, qid, p) in enumerate(
+                       (sid, qid, p) for sid in self.IDS for qid in self.IDS[::-1]
+                       for p in self.PROBS)]
+        want = [json.dumps({"student_id": r.student_id, "question_id": r.question_id,
+                            "p_correct": r.p_correct, "actual": r.actual,
+                            "seq": r.seq}, sort_keys=True) + "\n" for r in records]
+        assert list(prediction_lines(records)) == want

@@ -91,25 +91,21 @@ _NARROW = 16
 
 #: The one chunk-size rule: callers that split their columns over several
 #: kernel calls give a call as many targets as fit in CALL_CELLS cells
-#: (nodes x columns, 80 KB an array), and at least 2. A target is a
+#: (nodes x columns, 80 KB an array), and at least one. A target is a
 #: predicted student, or an update's whole burn-in pool: 8 targets a call
-#: on a 12-node tree and a pool of 100, 2 on a 60-node tree and a pool of
-#: 300. Twice the cells put eval-online's peak RSS 0.8 MB above 8 targets'
-#: for no clear gain; on the wide pool 2 targets a call replayed in 3.4-3.7
-#: s, 1 in 4.2-4.6 s and 4 in 5.4-6.0 s. A fixed rule keeps every result
-#: the same across runs.
+#: on a 12-node tree and a pool of 100. Twice the cells put eval-online's
+#: peak RSS 0.8 MB above 8 targets' for no clear gain. A fixed rule keeps
+#: every result the same across runs.
 CALL_CELLS = 10_000
 
 
 def targets_per_call(target_cells: int) -> int:
     """How many targets of target_cells cells each one kernel call takes."""
-    return max(2, CALL_CELLS // max(1, target_cells))
+    return max(1, CALL_CELLS // max(1, target_cells))
 
 
 def _sum_rows(incidence: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """incidence [m, n] times rows [n, *columns], as [m, *columns]."""
-    if rows.ndim == 2:
-        return incidence.dot(rows)
     return incidence.dot(rows.reshape(len(rows), -1)).reshape(len(incidence), *rows.shape[1:])
 
 

@@ -46,7 +46,6 @@ from .inference import (
     kernel_plan,
     leaf_error,
     log_form,
-    pack_counts,
     targets_per_call,
 )
 from .model import Parameters, default_parameters
@@ -159,9 +158,7 @@ class ClassroomSession:
             return model.packed
         slots = (model.slots if model is not None
                  else self._burn_in_slots.get(student_id, ()))
-        v = len(self.tree.nodes)
-        counts = np.bincount(slots, minlength=v * len(CELL_KEYS)).astype(np.float64)
-        counts = counts.reshape(v, len(CELL_KEYS), 1)
+        counts = _counted(self.tree, slots, 1)
         if model is not None and self.update_batch is not None:
             model.packed = counts
         return counts
@@ -175,8 +172,19 @@ class ClassroomSession:
     def pool(self) -> np.ndarray:
         """The burn-in pool as kernel counts [V, 6, S + 1]: a column per
         student in student-id order, then one with no responses, where an
-        update joins a newcomer's history (em.pooled_e_step). Packed once."""
-        return pack_counts(self.tree, [*map(self.burn_in.get, self.pool_columns), ()])
+        update joins a newcomer's history (em.pooled_e_step). Counted once,
+        from the burn-in slots."""
+        n = len(self.pool_columns) + 1
+        return _counted(self.tree, [slot * n + s for sid, s in self.pool_columns.items()
+                                    for slot in self._burn_in_slots[sid]], n)
+
+
+def _counted(tree: ConceptTree, flat: Sequence[int], n: int) -> np.ndarray:
+    """Kernel counts [V, 6, n] by one bincount of flat cells slot * n +
+    column. The counts are integers, so they equal pack_counts bit for bit."""
+    v = len(tree.nodes)
+    counts = np.bincount(flat, minlength=v * len(CELL_KEYS) * n).astype(np.float64)
+    return counts.reshape(v, len(CELL_KEYS), n)
 
 
 def burn_in_fit(

@@ -664,6 +664,9 @@ class TestReadPath:
             want = pack_counts(session.tree, [session.student_history(sid)])
             assert counts.dtype == want.dtype and counts.shape == want.shape
             assert np.array_equal(counts, want)
+        # The pool is counted from the same burn-in slots, members in id order.
+        want = pack_counts(session.tree, [*map(session.burn_in.get, sorted(session.burn_in)), ()])
+        assert session.pool.dtype == want.dtype and np.array_equal(session.pool, want)
 
     def test_unknown_kc_raises(self):
         session, _, remainder = self.session()

@@ -28,6 +28,7 @@ from .tree import (
     load_tree,
     serialize_questions,
     serialize_tree,
+    utf8_line,
     validate_tree,
 )
 from .online import serialize_stream
@@ -66,10 +67,16 @@ def _layered_value(name: str, flag_value, config: dict, config_path, caster):
 
 
 def _read_config(path: str | None) -> dict:
+    """key=value lines of a --config file; bytes that are not UTF-8 raise
+    OptionError naming the file and their line."""
     if path is None:
         return {}
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise OptionError(f"{path}: line {utf8_line(exc)}: not UTF-8 text: {exc}") from exc
     config = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue

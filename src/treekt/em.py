@@ -7,13 +7,14 @@ their log form. The E-step (pooled_e_step) runs T targets, each at its own
 θ, over one shared pool of packed counts: one kernel pass over [V, T, S]
 columns per inference.targets_per_call targets, and count-weighted sums
 that contract the pool with the posteriors once for all targets. A target
-may put its own history in place of one pool column, as replay's one-step
-updates do. The M-step turns the accumulator arrays into a new θ block by
-simple ratios, in numpy expressions over the block. Every update keeps the
-guessing probability capped and all probabilities strictly inside (0,1),
-which preserves the EM monotonicity guarantee. The one-target API
-(SufficientStats, e_step, m_step, one_step_update, fit) is the pooled path
-with T = 1 and no replaced column.
+may put its own history in place of one pool column, or add it to the pool
+as one more column, as replay's one-step updates do. The M-step turns the
+accumulator arrays into a new θ block by simple ratios, in numpy
+expressions over the block. Every update keeps the guessing probability
+capped and all probabilities strictly inside (0,1), which preserves the EM
+monotonicity guarantee. The one-target API (SufficientStats, e_step,
+m_step, one_step_update, fit) is the pooled path with T = 1 and no
+replaced column.
 """
 
 from __future__ import annotations
@@ -127,13 +128,12 @@ def pooled_e_step(
     inference.log_form), by inference.pool_posteriors.
 
     Without own, every target's dataset is the pool. With own = (at [T],
-    counts [V, 6, T]), target t's dataset is the pool's first S - 1 columns
-    with column at[t] replaced by the target's own counts column, or joined
-    by it where at[t] = S - 1: the pool's last column holds no responses and
-    counts only for such targets. The count-weighted sums are contractions
-    of the pool with the posteriors, minus each replaced column's term,
-    plus the target's own. Targets go through the kernel
-    inference.targets_per_call at a time.
+    counts [V, 6, T]), target t's dataset is the pool with column at[t]
+    replaced by the target's own counts column, or joined by it where
+    at[t] = S. The count-weighted sums are contractions of the pool with
+    the posteriors, minus each replaced column's term, plus the target's
+    own. Targets go through the kernel inference.targets_per_call at a
+    time.
     """
     n_nodes, n_cells, n_columns = pool.shape
     n_targets = log_theta.shape[1]
@@ -144,14 +144,14 @@ def pooled_e_step(
         n_students, ll = n_columns, np.empty(n_targets)
     else:
         at, counts = own
-        joined = at == n_columns - 1
-        n_students = n_columns - 1 + joined
+        joined = at == n_columns
+        n_students = n_columns + joined
 
     def column_sum(x: np.ndarray, c: slice) -> np.ndarray:
-        """x [..., targets c, S] summed over each target's columns."""
-        if own is None:
+        """x [..., targets c, S or S + 1] summed over each target's columns."""
+        if x.shape[-1] == n_columns:
             return x.sum(axis=-1)
-        return x[..., :-1].sum(axis=-1) + x[..., -1] * joined[c]
+        return x[..., :n_columns].sum(axis=-1) + x[..., n_columns] * joined[c]
 
     step = targets_per_call(n_nodes * n_columns)
     for a in range(0, n_targets, step):
@@ -159,11 +159,13 @@ def pooled_e_step(
         part = None if own is None else (at[c], counts[:, :, c])
         post = pool_posteriors(tree, log_theta[:, c], pool, part)
         cells, marginal = post.pair, post.marginal
-        u = np.matmul(pool, cells[0].transpose(0, 2, 1)).sum(axis=0)
-        m = np.matmul(pool, marginal.transpose(0, 2, 1)).sum(axis=0)
+        u = np.matmul(pool, cells[0][..., :n_columns].transpose(0, 2, 1)).sum(axis=0)
+        m = np.matmul(pool, marginal[..., :n_columns].transpose(0, 2, 1)).sum(axis=0)
         if own is not None:
             t, j = np.arange(len(part[0])), part[0]
-            delta = part[1] - pool[:, :, j]
+            delta = part[1].copy()
+            member = j < n_columns
+            delta[:, :, member] -= pool[:, :, j[member]]
             u += np.einsum("vkt,vt->kt", delta, cells[0][:, t, j])
             m += np.einsum("vkt,vt->kt", delta, marginal[:, t, j])
         unmastered[c], mastered[c] = u.T, m.T

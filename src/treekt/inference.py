@@ -6,16 +6,16 @@ hidden Markov tree on every student at once. Narrow calls on a deep tree
 run both passes by a closed-form scan along heavy paths, one cumsum and one
 np.logaddexp.accumulate per round of paths; other calls go upward one tree
 level at a time and downward in ceil(log2 depth) pointer-doubling steps.
-A single student is a batch of one. Responses are packed through one slot
-table built with the tree's plan. Counts make every posterior independent
+Responses are counted through one slot table built with the tree's plan,
+by one np.bincount (count_cells). Counts make every posterior independent
 of the order responses arrived in, bit for bit. Parameters reach the kernel
 in log form, built from θ columns by log_form with one np.log and one
-np.log1p. The kernel is the emission sums, then the two passes (_passes),
-which take any column shape that the log γ rows broadcast against:
-batch_posteriors runs [V, C] columns, and pool_posteriors runs T targets'
-copies of one shared pool as [V, T, S] without copying it.
+np.log1p. pool_posteriors is the kernel's one entry: T targets, each at
+its own θ column, over one shared pool of S columns, as [V, T, S]. One θ
+shared by many students is one target over a pool of their columns;
+students at their own θ are targets whose own columns join an empty pool;
+a single student is one target over a pool of one column.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -373,6 +373,14 @@ def cell_slots(tree: ConceptTree, interactions: Collection[Interaction]) -> list
         raise
 
 
+def count_cells(tree: ConceptTree, flat: Sequence[int], n: int) -> np.ndarray:
+    """Kernel counts [V, 6, n] by one bincount of flat cells slot * n +
+    column (slot: cell_slots)."""
+    v = len(tree.nodes)
+    counts = np.bincount(flat, minlength=v * len(CELL_KEYS) * n).astype(np.float64)
+    return counts.reshape(v, len(CELL_KEYS), n)
+
+
 def pack_counts(
     tree: ConceptTree, histories: Sequence[Collection[Interaction]]
 ) -> np.ndarray:
@@ -380,13 +388,9 @@ def pack_counts(
     through the tree's slot table. A history is an ObservationSet or a
     collection of anything with kc, difficulty and correct (see
     cell_slots)."""
-    plan = kernel_plan(tree)
     n = len(histories)
-    counts = np.zeros((len(plan.order), len(CELL_KEYS), n))
-    flat = [slot * n + s for s, history in enumerate(histories)
-            for slot in cell_slots(tree, history)]
-    np.add.at(counts.reshape(-1), flat, 1.0)
-    return counts
+    return count_cells(tree, [slot * n + s for s, history in enumerate(histories)
+                              for slot in cell_slots(tree, history)], n)
 
 
 @lru_cache(maxsize=None)
@@ -414,20 +418,20 @@ def log_form(theta: np.ndarray) -> np.ndarray:
 
 
 class BatchPosteriors:
-    """Kernel output, node axis in plan order. cells holds the (child,
-    parent) cells (0, 0), (1, 0), (1, 1); (0, 1) is zero, as a mastered
-    parent entails the child. The root's parent counts as unmastered.
-    marginal is [V, *columns]; pair [2, V, *columns] (cells (0, 0) and
-    (1, 0), what an E-step reads), cells [3, V, *columns] and
-    log_likelihood [*columns] are built on first read, which a prediction
-    never makes, from the kernel's log P(unmastered | data) rows (row V is
-    0) and upward messages; the counts must not change before then."""
+    """Kernel output of T targets over S columns, node axis in plan order.
+    marginal is [V, T, S]; pair [2, V, T, S] holds the (child, parent)
+    cells (0, 0) and (1, 0), what an E-step reads; (0, 1) is zero, as a
+    mastered parent entails the child, and (1, 1) is the parent's marginal.
+    The root's parent counts as unmastered. pair and log_likelihood [T, S]
+    are built on first read, which a prediction never makes, from the
+    kernel's log P(unmastered | data) rows (row V is 0) and upward
+    messages; the counts must not change before then."""
 
     def __init__(self, plan, marginal, log_p0, log_gamma, up, log_e1, counts):
         self.plan = plan
         self.marginal = marginal
         self._messages = (log_p0, log_gamma, up, log_e1, counts)
-        self._pair = self._cells = self._log_likelihood = None
+        self._pair = self._log_likelihood = None
 
     @property
     def pair(self) -> np.ndarray:
@@ -442,58 +446,14 @@ class BatchPosteriors:
         return self._pair
 
     @property
-    def cells(self) -> np.ndarray:
-        if self._cells is None:
-            parent_log_p0 = self._messages[0].take(self.plan.parent, axis=0)
-            self._cells = np.concatenate((self.pair, -np.expm1(parent_log_p0)[None]))
-        return self._cells
-
-    @property
     def log_likelihood(self) -> np.ndarray:
         if self._log_likelihood is None:
             # lb1 of the root is every response's log-emission at mastery.
             _, _, up, log_e1, counts = self._messages
-            if log_e1.shape[1:] == (1,):
-                ll = log_e1[:, 0] @ counts.sum(axis=0)
-            else:
-                ll = np.einsum("k...,k...->...", counts.sum(axis=0), log_e1)
+            ll = np.einsum("k...,k...->...", counts.sum(axis=0), log_e1)
             ll += up[0]
             self._log_likelihood = ll
         return self._log_likelihood
-
-
-def batch_posteriors(
-    tree: ConceptTree, params: Parameters | np.ndarray, counts: np.ndarray
-) -> BatchPosteriors:
-    """The kernel: posteriors of every column of packed counts [V, 6, C],
-    under θ in log form (log_form), [2V + 12, 1] shared by every counts
-    column or [2V + 12, C], one column each (a Parameters value is one
-    shared column).
-
-    A mastered node forces its subtree, so its upward message lb1 is a sum
-    of log-emissions and only the message bt0 to an unmastered parent needs
-    a log-sum-exp; both are kept relative to lb1. The downward pass runs on
-    conditional probabilities (Durand, Goncalves & Guedon, IEEE TSP 2004):
-    a node's log-probability of being unmastered is a sum along its root
-    path. A call narrower than _NARROW columns on a tree with plan.scan
-    does both passes by heavy-path scan (_scan), a constant number of
-    array calls per round of heavy paths. Otherwise the upward pass goes
-    one level at a time (plan.levels) and pointer doubling forms the root
-    path sums in ceil(log2 depth) steps. The emission sums are one matmul
-    for a shared θ column, else one einsum; _passes does the rest.
-    """
-    plan = kernel_plan(tree)
-    if isinstance(params, Parameters):
-        params = log_form(params.column(plan.order)[:, None])
-    log_gamma, log1m_gamma, log_e1, log_ratio = _log_parts(params)
-    # shifted = lb0 - lb1 + log(1 - gamma) and up = bt0 - lb1, per node.
-    shared = log_ratio.shape[1] == 1  # then a matmul does the emission sums
-    if shared:
-        shifted = log_ratio[:, 0] @ counts
-    else:
-        shifted = np.einsum("vkc,kc->vc", counts, log_ratio)
-    shifted += log1m_gamma
-    return _passes(plan, log_gamma, shifted, log_e1, counts)
 
 
 def _log_parts(log_theta: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -505,46 +465,70 @@ def _log_parts(log_theta: np.ndarray) -> tuple[np.ndarray, ...]:
 
 def _passes(plan: KernelPlan, log_gamma: np.ndarray, shifted: np.ndarray,
             log_e1: np.ndarray, counts: np.ndarray | None) -> BatchPosteriors:
-    """The upward and the downward pass over columns [V, *columns], shifted
-    (updated in place) holding each node's emission sums plus log(1 - γ);
-    log_gamma broadcasts against it. log_e1 and counts go to the result
-    for its log-likelihood."""
+    """The upward and the downward pass over columns [V, T, S], shifted
+    (updated in place) holding each node's emission sums plus log(1 - γ)
+    and log_gamma [V, T, 1] each target's log γ. A call of one target or
+    one column runs on [V, T·S] columns; its result's arrays are [V, T, S]
+    views all the same. log_e1 [6, T, 1] and counts go to the result for
+    its log-likelihood.
+
+    A mastered node forces its subtree, so its upward message lb1 is a sum
+    of log-emissions and only the message bt0 to an unmastered parent needs
+    a log-sum-exp; both are kept relative to lb1: shifted = lb0 - lb1 +
+    log(1 - γ) and up = bt0 - lb1, per node. The downward pass runs on
+    conditional probabilities (Durand, Goncalves & Guedon, IEEE TSP 2004):
+    a node's log-probability of being unmastered is a sum along its root
+    path. A call narrower than _NARROW columns on a tree with plan.scan
+    does both passes by heavy-path scan (_scan), a constant number of
+    array calls per round of heavy paths. Otherwise the upward pass goes
+    one level at a time (plan.levels) and pointer doubling forms the root
+    path sums in ceil(log2 depth) steps."""
+    shape, gamma = shifted.shape, log_gamma
+    if 1 in shape[1:]:
+        shifted, gamma = shifted.reshape(len(shifted), -1), log_gamma.reshape(len(shifted), -1)
     up = np.empty_like(shifted)
     # log P(v unmastered) in rows 0 .. V - 1; row V, above the root, is 0.
     buf = np.empty((len(shifted) + 1, *shifted.shape[1:]))
     buf[-1] = 0.0
     log_p0 = buf[:-1]
     if shifted.size < _NARROW * len(shifted) and plan.scan is not None:
-        _scan(plan.scan, log_gamma, shifted, up, buf)
+        _scan(plan.scan, gamma, shifted, up, buf)
     else:
         for level in plan.levels:
-            level.run(log_gamma, shifted, up, buf)  # free until the downward pass
+            level.run(gamma, shifted, up, buf)  # free until the downward pass
         # Each term shifted - up = log P(u unmastered | parent unmastered,
         # data) is <= 0 exactly. After doubling step k a node's row holds
         # the sum over the node and its 2**(k+1) - 1 nearest ancestors.
         np.subtract(shifted, up, out=log_p0)
         for jump in plan.jumps:
             log_p0 += buf.take(jump, axis=0)  # a copy: every row reads step k - 1
-    return BatchPosteriors(plan, -np.expm1(log_p0), buf, log_gamma, up, log_e1, counts)
+    return BatchPosteriors(plan, -np.expm1(log_p0).reshape(shape),
+                           buf.reshape(len(buf), *shape[1:]), log_gamma, up.reshape(shape),
+                           log_e1, counts)
 
 
 def pool_posteriors(
     tree: ConceptTree, log_theta: np.ndarray, pool: np.ndarray,
     own: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> BatchPosteriors:
-    """The kernel on T targets' copies of one pool of packed counts [V, 6,
+    """The kernel, on T targets' copies of one pool of packed counts [V, 6,
     S]: posteriors of every column [V, T, S], target t's at θ column t in
-    log form (log_theta [2V + 12, T]). Nothing copies the pool: its
-    emission sums are one matmul per node of the log-ratio block [T, 6] by
-    the node's [6, S] counts, and each target's log γ broadcasts over the
-    pool axis. own = (at [T], counts [V, 6, T]) puts each target's own
-    counts column in place of its pool column at[t]; such a result has no
-    log_likelihood."""
+    log form (log_theta [2V + 12, T], log_form). Nothing copies the pool:
+    its emission sums are one matmul per node of the log-ratio block [T, 6]
+    by the node's [6, S] counts.
+
+    own = (at [T], counts [V, 6, T]) gives each target its own counts
+    column, by einsum: it replaces the target's pool column at[t], or, where
+    at[t] = S, joins the pool as one more column, which the other targets
+    see empty; a call with such a target gives [V, T, S + 1]. A result with
+    own columns has no log_likelihood."""
     plan = kernel_plan(tree)
     log_gamma, log1m_gamma, log_e1, log_ratio = _log_parts(log_theta)
     shifted = np.matmul(log_ratio.T, pool)
     if own is not None:
         at, counts = own
+        if at.max() == pool.shape[2]:
+            shifted = np.concatenate((shifted, np.zeros((*shifted.shape[:2], 1))), axis=2)
         shifted[:, np.arange(len(at)), at] = np.einsum("vkt,kt->vt", counts, log_ratio)
     shifted += log1m_gamma[:, :, None]
     return _passes(plan, log_gamma[:, :, None], shifted, log_e1[:, :, None],
@@ -554,30 +538,32 @@ def pool_posteriors(
 @dataclass(frozen=True, eq=False)
 class BeliefTable:
     """One student's posteriors by node id: a read-only view of one column
-    of a kernel result."""
+    of a kernel result of one target."""
 
     result: BatchPosteriors
     column: int = 0
 
     @property
     def log_likelihood(self) -> float:
-        return float(self.result.log_likelihood[self.column])
+        return float(self.result.log_likelihood[0, self.column])
 
     def posterior_mastery(self, node_id: str) -> float:
         if node_id not in self.result.plan.index:
             raise InferenceError(f"unknown KC: {node_id!r}")
-        return float(self.result.marginal[self.result.plan.index[node_id], self.column])
+        return float(self.result.marginal[self.result.plan.index[node_id], 0, self.column])
 
     @cached_property
     def marginal(self) -> Mapping[str, float]:
-        values = self.result.marginal[:, self.column].tolist()
+        values = self.result.marginal[:, 0, self.column].tolist()
         return MappingProxyType(dict(zip(self.result.plan.order, values)))
 
     @cached_property
     def pairwise(self) -> Mapping[str, Mapping[tuple[int, int], float]]:
-        """(child state, parent state) -> posterior, for every non-root node."""
-        rows = zip(self.result.plan.order, *self.result.cells[:, :, self.column].tolist())
-        next(rows)  # the root
+        """(child state, parent state) -> posterior, for every non-root node:
+        (1, 1) is the parent's marginal."""
+        plan, marginal = self.result.plan, self.result.marginal[:, 0, self.column]
+        rows = zip(plan.order[1:], *self.result.pair[:, 1:, 0, self.column].tolist(),
+                   marginal[plan.parent[1:]].tolist())
         return MappingProxyType({
             node: MappingProxyType({(0, 0): p00, (1, 0): p10, (0, 1): 0.0, (1, 1): p11})
             for node, p00, p10, p11 in rows
@@ -595,8 +581,14 @@ def posteriors(
     tree: ConceptTree, params: Parameters, obs: ObservationSet
 ) -> BeliefTable:
     """Full table for one student: marginals, pairwise posteriors, and data
-    log-likelihood."""
-    return BeliefTable(batch_posteriors(tree, params, pack_counts(tree, [obs])))
+    log-likelihood; one target over a pool of one column."""
+    log_theta = log_form(params.column(kernel_plan(tree).order)[:, None])
+    return BeliefTable(pool_posteriors(tree, log_theta, pack_counts(tree, [obs])))
+
+
+def blend(mastery, epsilon, phi):
+    """P(correct) = (1 - m)·ε + m·φ, on floats or arrays alike."""
+    return (1.0 - mastery) * epsilon + mastery * phi
 
 
 def predict(
@@ -604,11 +596,9 @@ def predict(
 ) -> Prediction:
     """Blend mastered/unmastered correctness rates with the posterior."""
     p1 = belief.posterior_mastery(question.kc)
-    phi = params.phi(question.difficulty)
-    prob = (1.0 - p1) * params.epsilon + p1 * phi
     return Prediction(
         question_id=question.question_id,
-        prob_correct=prob,
+        prob_correct=blend(p1, params.epsilon, params.phi(question.difficulty)),
         posterior_mastery=p1,
     )
 
@@ -618,4 +608,3 @@ def log_likelihood(
 ) -> float:
     """Log-probability of the observed responses under the model."""
     return posteriors(tree, params, obs).log_likelihood
-

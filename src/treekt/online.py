@@ -11,18 +11,20 @@ never per prediction.
 
 So the t-th update of one student does not depend on any other student's,
 and work runs in rounds of distinct students. A round predicts one question
-per student in kernel calls over the students, each column at that
-student's θ, then reveals one response per student and runs every update
-that falls due as one em.pooled_e_step over the session's pool, [V, 6, S +
-1]: the burn-in students in id order and a last column with no responses.
-A target's history stands in its own pool column, or, for a newcomer, in
-that last column; nothing copies the pool. The due students' θ columns go
-through the E-step, one M-step and one log form as [·, T] blocks.
-inference.targets_per_call sizes every kernel call. replay runs the stream
-as rounds. predict_next is one kernel call on one student's column,
-counted from the flat slot list each model keeps of its conditioning set;
-observe is a round of one student, which checks the response before it
-changes anything and, in a frozen session, only appends.
+per student in kernel calls over the students (inference.pool_posteriors:
+a chunk at one θ is one target over the chunk's columns, else each student
+is a target over its own column alone), then reveals one response per
+student and runs every update that falls due as one em.pooled_e_step over
+the session's pool, [V, 6, S]: the burn-in students in id order. A
+target's history stands in its own pool column, or, for a newcomer, joins
+the pool as one more column; nothing copies the pool. The due students' θ
+columns go through the E-step, one M-step and one log form as [·, T]
+blocks. inference.targets_per_call sizes every kernel call. replay runs
+the stream as rounds. predict_next is one kernel call on one student's
+column, counted from the flat slot list each model keeps of its
+conditioning set; observe is a round of one student, which checks the
+response before it changes anything and, in a frozen session, only
+appends.
 """
 
 from __future__ import annotations
@@ -37,15 +39,16 @@ import numpy as np
 
 from .em import FitReport, batch_m_step, fit, pooled_e_step
 from .inference import (
-    CELL_KEYS,
     InferenceError,
     Interaction,
     Prediction,
-    batch_posteriors,
+    blend,
     cell_slots,
+    count_cells,
     kernel_plan,
     leaf_error,
     log_form,
+    pool_posteriors,
     targets_per_call,
 )
 from .model import Parameters, default_parameters
@@ -158,7 +161,7 @@ class ClassroomSession:
             return model.packed
         slots = (model.slots if model is not None
                  else self._burn_in_slots.get(student_id, ()))
-        counts = _counted(self.tree, slots, 1)
+        counts = count_cells(self.tree, slots, 1)
         if model is not None and self.update_batch is not None:
             model.packed = counts
         return counts
@@ -170,21 +173,11 @@ class ClassroomSession:
 
     @cached_property
     def pool(self) -> np.ndarray:
-        """The burn-in pool as kernel counts [V, 6, S + 1]: a column per
-        student in student-id order, then one with no responses, where an
-        update joins a newcomer's history (em.pooled_e_step). Counted once,
-        from the burn-in slots."""
-        n = len(self.pool_columns) + 1
-        return _counted(self.tree, [slot * n + s for sid, s in self.pool_columns.items()
-                                    for slot in self._burn_in_slots[sid]], n)
-
-
-def _counted(tree: ConceptTree, flat: Sequence[int], n: int) -> np.ndarray:
-    """Kernel counts [V, 6, n] by one bincount of flat cells slot * n +
-    column. The counts are integers, so they equal pack_counts bit for bit."""
-    v = len(tree.nodes)
-    counts = np.bincount(flat, minlength=v * len(CELL_KEYS) * n).astype(np.float64)
-    return counts.reshape(v, len(CELL_KEYS), n)
+        """The burn-in pool as kernel counts [V, 6, S]: a column per
+        student in student-id order. Counted once, from the burn-in slots."""
+        n = len(self.pool_columns)
+        return count_cells(self.tree, [slot * n + s for sid, s in self.pool_columns.items()
+                                       for slot in self._burn_in_slots[sid]], n)
 
 
 def burn_in_fit(
@@ -208,7 +201,7 @@ def burn_in_fit(
         theta_init=default_parameters(tree) if init is None else init,
         update_batch=update_batch,
     )
-    session.fit_report = fit(tree, session.pool[:, :, :-1], session.theta_init,
+    session.fit_report = fit(tree, session.pool, session.theta_init,
                              max_iters=max_iters, tol=tol)
     session.theta_init = session.fit_report.params
     return session
@@ -238,43 +231,37 @@ def _rows(plan, questions: Iterable[QuestionMeta]) -> tuple[list[int], list[int]
     return nodes, rates
 
 
-def _blend(mastery, epsilon, phi):
-    """P(correct) = (1 - m)·ε + m·φ, in inference.predict's operand order,
-    on floats or arrays alike."""
-    return (1.0 - mastery) * epsilon + mastery * phi
-
-
 def _predict_round(
     session: ClassroomSession, student_ids: Sequence[str],
     questions: Sequence[QuestionMeta],
-) -> tuple[list[float], list[float]]:
-    """P(correct) and the posterior mastery of the question's node, for one
-    question for each of distinct students, every student at their own θ
-    and history, in kernel calls of inference.targets_per_call students
-    (see _blend)."""
+) -> list[float]:
+    """P(correct) for one question for each of distinct students, every
+    student at their own θ and history, in kernel calls of
+    inference.targets_per_call students (see inference.blend)."""
     plan = kernel_plan(session.tree)
     size = targets_per_call(len(plan.order))
     init = session._init_columns()
     nodes, rates = _rows(plan, questions)
     prob: list[float] = []
-    mastery: list[float] = []
     for a in range(0, len(student_ids), size):
         chunk = student_ids[a:a + size]
         thetas, logs = zip(*[init if m is None else (m.theta, m.log_theta)
                              for m in map(session.students.get, chunk)])
-        # A chunk at one θ (a frozen session) is one shared kernel column.
-        if all(log is logs[0] for log in logs):
-            theta, log_theta, columns = thetas[0][:, None], logs[0][:, None], 0
-        else:
-            theta, log_theta = _block(thetas), _block(logs)
-            columns = np.arange(len(chunk))
         counts = np.concatenate([*map(session._history_counts, chunk)], axis=2)
-        post = batch_posteriors(session.tree, log_theta, counts)
-        p1 = post.marginal[nodes[a:a + size], np.arange(len(chunk))]
-        phi = theta[rates[a:a + size], columns]
-        prob += _blend(p1, theta[-1, columns], phi).tolist()
-        mastery += p1.tolist()
-    return prob, mastery
+        if all(log is logs[0] for log in logs):
+            # One target over the chunk: a frozen session predicts as
+            # predict_next does, bit for bit.
+            theta, columns = thetas[0][:, None], 0
+            post = pool_posteriors(session.tree, logs[0][:, None], counts)
+        else:
+            # A target per student, whose own column joins an empty pool.
+            theta, columns = _block(thetas), np.arange(len(chunk))
+            post = pool_posteriors(session.tree, _block(logs), counts[:, :, :0],
+                                   (np.zeros(len(chunk), dtype=np.intp), counts))
+        p1 = post.marginal.reshape(len(plan.order), -1)[nodes[a:a + size],
+                                                       np.arange(len(chunk))]
+        prob += blend(p1, theta[-1, columns], theta[rates[a:a + size], columns]).tolist()
+    return prob
 
 
 def _reveal_round(
@@ -305,10 +292,9 @@ def _reveal_round(
             due.append(model)
     if not due:
         return
-    # A newcomer's history joins the pool in its last column, which holds
-    # no responses.
-    spare = len(session.pool_columns)
-    at = np.array([session.pool_columns.get(m.student_id, spare) for m in due])
+    # A newcomer's history joins the pool as one more column.
+    joins = len(session.pool_columns)
+    at = np.array([session.pool_columns.get(m.student_id, joins) for m in due])
     own = np.concatenate([session._history_counts(m.student_id) for m in due], axis=2)
     acc = pooled_e_step(tree, _block([m.log_theta for m in due]), session.pool, (at, own))
     theta = batch_m_step(acc, _block([m.theta for m in due]))
@@ -332,17 +318,16 @@ def predict_next(
     """Posterior over the question's concept given the student's history,
     blended with the emission rates. Unseen students use the shared model
     and an empty personal history. One kernel call on the student's
-    column, at the student's θ."""
+    column, at the student's θ: one target over a pool of one column."""
     plan = kernel_plan(session.tree)
     (row,), (rate,) = _rows(plan, [question])
     model = session.students.get(student_id)
     theta, log_theta = (session._init_columns() if model is None
                         else (model.theta, model.log_theta))
-    post = batch_posteriors(session.tree, log_theta[:, None],
-                            session._history_counts(student_id))
-    mastery = post.marginal[row, 0]
-    phi = theta[rate]
-    return Prediction(question.question_id, float(_blend(mastery, theta[-1], phi)),
+    post = pool_posteriors(session.tree, log_theta[:, None],
+                           session._history_counts(student_id))
+    mastery = post.marginal[row, 0, 0]
+    return Prediction(question.question_id, float(blend(mastery, theta[-1], theta[rate])),
                       float(mastery))
 
 
@@ -362,7 +347,7 @@ def replay(
     records: list = [None] * len(stream)
     for t in range(max(map(len, queues.values()), default=0)):
         batch = [(i, stream[i]) for i in (q[t] for q in queues.values() if len(q) > t)]
-        probs, _ = _predict_round(
+        probs = _predict_round(
             session, [rec.student_id for _, rec in batch],
             [QuestionMeta(rec.question_id, rec.kc, rec.difficulty) for _, rec in batch])
         for (i, rec), p_correct in zip(batch, probs):

@@ -362,6 +362,23 @@ class TestOptionLayering:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["fit", "eval", "oracle-check"])
+    def test_config_bytes_that_are_not_utf8_exit_two(self, tmp_path, capsys, command):
+        # The config is read before any other file: the tree does not exist.
+        config = tmp_path / "opts.cfg"
+        config.write_bytes(b"# options\nmax_iters = 5\ntol = \xff1e-4\n")
+        argv = [command, "--config", str(config)]
+        if command != "oracle-check":
+            argv += ["--tree", str(tmp_path / "tree.json"),
+                     "--stream", str(tmp_path / "stream.jsonl"),
+                     "--out", str(tmp_path / "out")]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {config}: line 3: not UTF-8 text: "), err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestMaxIters:
     @pytest.mark.parametrize("command", ["fit", "eval"])

@@ -21,9 +21,10 @@ from treekt.inference import (
     BeliefTable,
     InferenceError,
     ParameterError,
-    batch_posteriors,
     kernel_plan,
+    log_form,
     pack_counts,
+    pool_posteriors,
     _NARROW,
     _scan_rounds,
 )
@@ -179,6 +180,21 @@ def shaped_tree(shape, n_nodes, rng):
     return random_tree(rng, n_nodes)
 
 
+def shared_posteriors(tree, params, counts):
+    """The kernel at one θ shared by every counts column [V, 6, C]: one
+    target over a pool of the columns, as [V, 1, C]."""
+    log_theta = log_form(params.column(kernel_plan(tree).order)[:, None])
+    return pool_posteriors(tree, log_theta, counts)
+
+
+def kernel_cells(result):
+    """A one-target result's (child, parent) cells (0, 0), (1, 0) and
+    (1, 1), [3, V, 1, C]: pair, then the parent's marginal (0 above the
+    root)."""
+    marginal = np.concatenate((result.marginal, np.zeros_like(result.marginal[:1])))
+    return np.concatenate((result.pair, marginal[result.plan.parent][None]))
+
+
 class TestBatchKernel:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -192,14 +208,14 @@ class TestBatchKernel:
         tree = shaped_tree(shape, n_nodes, rng)
         params = random_parameters(tree, rng)
         sets = [random_observations(tree, rng) for _ in range(n_students)]
-        result = batch_posteriors(tree, params, pack_counts(tree, sets))
+        result = shared_posteriors(tree, params, pack_counts(tree, sets))
         for column, obs in enumerate(sets):
             belief = BeliefTable(result, column)
             oracle = brute_force_posteriors(tree, params, obs)
             assert abs(belief.log_likelihood - oracle.log_likelihood) <= 1e-10
             # The root's row treats its parent as unmastered.
             m_root = oracle.marginal[tree.root]
-            root_cells = result.cells[:, result.plan.index[tree.root], column]
+            root_cells = kernel_cells(result)[:, result.plan.index[tree.root], 0, column]
             assert np.allclose(root_cells, [1.0 - m_root, m_root, 0.0], rtol=0.0, atol=1e-10)
             for node in tree.nodes:
                 assert abs(belief.marginal[node] - oracle.marginal[node]) <= 1e-10
@@ -219,13 +235,65 @@ class TestBatchKernel:
         counts = pack_counts(
             tree, [random_observations(tree, rng, max_obs=60) for _ in range(_NARROW + 4)]
         )
-        batch = batch_posteriors(tree, params, counts)
+        batch = shared_posteriors(tree, params, counts)
         for s in range(counts.shape[2]):
-            one = batch_posteriors(tree, params, counts[:, :, s:s + 1].copy())
-            for got, want in [(one.marginal, batch.marginal[:, s:s + 1]),
-                              (one.cells, batch.cells[:, :, s:s + 1]),
-                              (one.log_likelihood, batch.log_likelihood[s:s + 1])]:
+            one = shared_posteriors(tree, params, counts[:, :, s:s + 1].copy())
+            for got, want in [(one.marginal, batch.marginal[:, :, s:s + 1]),
+                              (kernel_cells(one), kernel_cells(batch)[..., s:s + 1]),
+                              (one.log_likelihood, batch.log_likelihood[:, s:s + 1])]:
                 np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+class TestPoolRule:
+    """pool_posteriors runs T targets over one pool of S columns; a
+    target's own column replaces its pool column at[t], or joins the pool
+    as one more column where at[t] = S."""
+
+    @staticmethod
+    def setup(seed, n_columns=5, n_targets=3):
+        rng = np.random.default_rng(seed)
+        tree = random_tree(rng, 9)
+        order = kernel_plan(tree).order
+        params = [random_parameters(tree, rng) for _ in range(n_targets)]
+        log_theta = log_form(np.stack([p.column(order) for p in params], axis=1))
+        pool = pack_counts(tree, [random_observations(tree, rng) for _ in range(n_columns)])
+        own = pack_counts(tree, [random_observations(tree, rng) for _ in range(n_targets)])
+        return tree, params, log_theta, pool, own
+
+    @pytest.mark.parametrize("at, width", [([4, 0, 2], 5), ([1, 5, 3], 6)])
+    def test_only_a_joining_column_widens_the_pool(self, at, width):
+        tree, _, log_theta, pool, own = self.setup(61)
+        result = pool_posteriors(tree, log_theta, pool, (np.array(at), own))
+        assert result.marginal.shape == (len(tree.nodes), 3, width)
+        assert result.pair.shape == (2, len(tree.nodes), 3, width)
+
+    @pytest.mark.parametrize("at", [[4, 0, 2], [1, 5, 3], [5, 5, 5]])
+    def test_own_columns_equal_their_own_calls(self, at):
+        # Each target's own column, wherever it stands, has the posteriors
+        # of a call on that column alone at the target's θ; every other
+        # column has those of the target's θ over the pool (empty where a
+        # column joined for another target).
+        tree, params, log_theta, pool, own = self.setup(63)
+        at = np.array(at)
+        result = pool_posteriors(tree, log_theta, pool, (at, own))
+        width = result.marginal.shape[2]
+        for t, j in enumerate(at):
+            want = np.concatenate((pool, np.zeros_like(pool[:, :, :1])), axis=2)[:, :, :width]
+            want[:, :, j] = own[:, :, t]
+            one = shared_posteriors(tree, params[t], want)
+            np.testing.assert_allclose(result.marginal[:, t], one.marginal[:, 0],
+                                       rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(result.pair[:, :, t], one.pair[:, :, 0],
+                                       rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("n_columns, n_targets", [(1, 1), (1, 4), (6, 1), (6, 4)])
+    def test_every_call_gives_targets_by_columns(self, n_columns, n_targets):
+        tree, _, log_theta, pool, _ = self.setup(64, n_columns, n_targets)
+        result = pool_posteriors(tree, log_theta, pool)
+        v = len(tree.nodes)
+        assert result.marginal.shape == (v, n_targets, n_columns)
+        assert result.pair.shape == (2, v, n_targets, n_columns)
+        assert result.log_likelihood.shape == (n_targets, n_columns)
 
 
 def chain_oracle(depth, params, interactions):
@@ -270,7 +338,7 @@ class TestDeepChains:
             [Interaction(f"q{i}", leaf, list(Difficulty)[int(rng.integers(3))],
                          int(rng.integers(2))) for i in range(int(rng.integers(1, 40)))]
             for _ in range(3))]
-        result = batch_posteriors(tree, params, pack_counts(tree, histories))
+        result = shared_posteriors(tree, params, pack_counts(tree, histories))
         assert len(result.plan.jumps) == math.ceil(math.log2(depth))
         for column, history in enumerate(histories):
             marginal, cells, log_z = chain_oracle(depth, params, history)
@@ -288,7 +356,7 @@ class TestDeepChains:
         tree = caterpillar_tree(100)
         params = random_parameters(tree, rng)
         sets = [random_observations(tree, rng, max_obs=200) for _ in range(8)]
-        result = batch_posteriors(tree, params, pack_counts(tree, sets))
+        result = shared_posteriors(tree, params, pack_counts(tree, sets))
         plan = result.plan
         assert len(plan.jumps) == 7  # depth 101
         child = np.arange(1, len(plan.order))
@@ -351,7 +419,7 @@ class TestFarOutOfRange:
 
     @staticmethod
     def assert_finite(result):
-        for values in (result.marginal, result.cells, result.log_likelihood):
+        for values in (result.marginal, kernel_cells(result), result.log_likelihood):
             assert np.all(np.isfinite(values))
 
     def check_chain(self, depth, wide):
@@ -361,7 +429,7 @@ class TestFarOutOfRange:
         log_ratio = math.log(1 - params.epsilon) - math.log(1 - params.r_easy)
         assert 5000 * log_ratio > 1000  # exp of the leaf's message overflows
         width = _NARROW if wide else len(histories)
-        result = batch_posteriors(tree, params, self.packed(tree, histories, width))
+        result = shared_posteriors(tree, params, self.packed(tree, histories, width))
         self.assert_finite(result)
         for column in range(width):
             marginal, cells, log_z = chain_oracle(depth, params,
@@ -382,7 +450,7 @@ class TestFarOutOfRange:
         params = random_parameters(tree, np.random.default_rng(6))
         histories = self.histories("l5")
         width = _NARROW if wide else len(histories)
-        result = batch_posteriors(tree, params, self.packed(tree, histories, width))
+        result = shared_posteriors(tree, params, self.packed(tree, histories, width))
         self.assert_finite(result)
         oracles = [log_enumeration(tree, params, observation_set(tree, history))
                    for history in histories]
@@ -418,14 +486,14 @@ class TestFarOutOfRange:
         assert kernel_plan(tree).scan is not None
         params = random_parameters(tree, np.random.default_rng(n))
         counts = self.packed(tree, self.histories("l99", n), _NARROW + 4)
-        wide = batch_posteriors(tree, params, counts)
+        wide = shared_posteriors(tree, params, counts)
         self.assert_finite(wide)
         for s in range(3):  # all wrong, all correct, mixed
-            one = batch_posteriors(tree, params, counts[:, :, s:s + 1].copy())
+            one = shared_posteriors(tree, params, counts[:, :, s:s + 1].copy())
             self.assert_finite(one)
-            for got, want in [(one.marginal, wide.marginal[:, s:s + 1]),
-                              (one.cells, wide.cells[:, :, s:s + 1]),
-                              (one.log_likelihood, wide.log_likelihood[s:s + 1])]:
+            for got, want in [(one.marginal, wide.marginal[:, :, s:s + 1]),
+                              (kernel_cells(one), kernel_cells(wide)[..., s:s + 1]),
+                              (one.log_likelihood, wide.log_likelihood[:, s:s + 1])]:
                 np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
 
 
@@ -457,7 +525,7 @@ class TestUpwardSchedule:
         plan.scan = _scan_rounds(plan.parent)
         params = random_parameters(tree, rng)
         sets = [random_observations(tree, rng) for _ in range(3)]
-        result = batch_posteriors(tree, params, pack_counts(tree, sets))
+        result = shared_posteriors(tree, params, pack_counts(tree, sets))
         for column, obs in enumerate(sets):
             belief = BeliefTable(result, column)
             oracle = brute_force_posteriors(tree, params, obs)
@@ -492,11 +560,11 @@ class TestUpwardSchedule:
         rng = np.random.default_rng(1000)
         params = random_parameters(tree, rng)
         histories = [random_observations(tree, rng, max_obs=200) for _ in range(3)]
-        wide = batch_posteriors(tree, params, pack_counts(tree, histories * _NARROW))
-        narrow = batch_posteriors(tree, params, pack_counts(tree, histories))
-        for got, want in [(narrow.marginal, wide.marginal[:, :3]),
-                          (narrow.cells, wide.cells[:, :, :3]),
-                          (narrow.log_likelihood, wide.log_likelihood[:3])]:
+        wide = shared_posteriors(tree, params, pack_counts(tree, histories * _NARROW))
+        narrow = shared_posteriors(tree, params, pack_counts(tree, histories))
+        for got, want in [(narrow.marginal, wide.marginal[:, :, :3]),
+                          (kernel_cells(narrow), kernel_cells(wide)[..., :3]),
+                          (narrow.log_likelihood, wide.log_likelihood[:, :3])]:
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
 
     @pytest.mark.parametrize("tree", [

@@ -27,10 +27,10 @@ from treekt import (
 from treekt.em import pooled_e_step
 from treekt.inference import (
     InferenceError,
-    batch_posteriors,
     kernel_plan,
     log_form,
     pack_counts,
+    pool_posteriors,
 )
 from treekt.model import ParameterError
 from treekt.online import (
@@ -664,9 +664,28 @@ class TestReadPath:
             want = pack_counts(session.tree, [session.student_history(sid)])
             assert counts.dtype == want.dtype and counts.shape == want.shape
             assert np.array_equal(counts, want)
-        # The pool is counted from the same burn-in slots, members in id order.
-        want = pack_counts(session.tree, [*map(session.burn_in.get, sorted(session.burn_in)), ()])
+        # The pool is counted from the same burn-in slots, members in id
+        # order, and holds only the burn-in.
+        want = pack_counts(session.tree, [*map(session.burn_in.get, sorted(session.burn_in))])
+        assert session.pool.shape[2] == len(session.burn_in)
         assert session.pool.dtype == want.dtype and np.array_equal(session.pool, want)
+
+    def test_burn_in_fit_fits_the_pool_itself(self, monkeypatch):
+        import treekt.online
+
+        fitted = []
+        real_fit = treekt.online.fit
+
+        def fit(tree, dataset, *args, **kwargs):
+            fitted.append(dataset)
+            return real_fit(tree, dataset, *args, **kwargs)
+
+        monkeypatch.setattr(treekt.online, "fit", fit)
+        tree, _, stream = small_classroom(seed=14, n_students=5)
+        burn_in, _ = split_burn_in(stream, 4)
+        session = burn_in_fit(tree, burn_in, tol=1e-4)
+        assert len(fitted) == 1 and fitted[0] is session.pool
+        assert session.pool.shape[2] == len(burn_in)
 
     def test_unknown_kc_raises(self):
         session, _, remainder = self.session()
@@ -705,18 +724,18 @@ class TestReadPath:
 
 
 def slab_e_step(tree, log_theta, slab):
-    """The E-steps of T targets over a stacked slab [V, 6, T, S] in one
-    batch_posteriors call, log_theta repeated per slab column: how replay
-    ran its updates before the pooled E-step, kept as its reference."""
-    n_nodes, n_cells, n_targets, n_students = slab.shape
-    post = batch_posteriors(tree, log_theta.repeat(n_students, axis=1),
-                            slab.reshape(n_nodes, n_cells, -1))
-    marginal = post.marginal.reshape(n_nodes, n_targets, n_students)
-    pair = post.pair.reshape(2, n_nodes, n_targets, n_students)
+    """The E-steps of T targets over a stacked slab [V, 6, T, S], one kernel
+    call per target over its own slab: how replay ran its updates before
+    the pooled E-step, kept as its reference."""
+    posts = [pool_posteriors(tree, log_theta[:, t:t + 1], slab[:, :, t])
+             for t in range(slab.shape[2])]
+    marginal = np.concatenate([post.marginal for post in posts], axis=1)
+    pair = np.concatenate([post.pair for post in posts], axis=2)
+    ll = np.concatenate([post.log_likelihood for post in posts])
     return {"unmastered": np.einsum("vkts,vts->tk", slab, pair[0]),
             "mastered": np.einsum("vkts,vts->tk", slab, marginal),
             "pair": pair.sum(axis=3), "root": marginal[0].sum(axis=1),
-            "ll": post.log_likelihood.reshape(n_targets, n_students).sum(axis=1)}
+            "ll": ll.sum(axis=1)}
 
 
 class TestPooledEStep:
@@ -757,9 +776,8 @@ class TestPooledEStep:
         inserted = rng.integers(0, n_students + 1, 3)
         # Targets 0-2 replace their pool column; 3-5 are newcomers, whose
         # history the old slabs inserted in id order and the pool appends.
-        spare = np.concatenate([pool, np.zeros_like(pool[:, :, :1])], axis=2)
         at = np.concatenate([members, [n_students] * 3])
-        acc = pooled_e_step(tree, log_theta, spare, (at, own))
+        acc = pooled_e_step(tree, log_theta, pool, (at, own))
         assert acc.ll is None
 
         slab = np.repeat(pool[:, :, None, :], 3, axis=2)
@@ -770,6 +788,21 @@ class TestPooledEStep:
                          for t, j in enumerate(inserted)], axis=2)
         want_new = slab_e_step(tree, log_theta[:, 3:], slab)
         self.assert_close(acc, want_new, slice(3, 6), n_students + 1)
+
+    def test_member_updates_run_only_the_pool_columns(self, monkeypatch):
+        import treekt.em
+
+        widths = []
+
+        def recorded(*args):
+            post = pool_posteriors(*args)
+            widths.append(post.marginal.shape[2])
+            return post
+
+        monkeypatch.setattr(treekt.em, "pool_posteriors", recorded)
+        _, tree, pool, own, log_theta = self.setup("random", 35)
+        pooled_e_step(tree, log_theta, pool, (np.array([0, 3, 8, 2, 5, 1]), own))
+        assert widths and set(widths) == {pool.shape[2]}
 
     @pytest.mark.parametrize("shape, seed", [("random", 33), ("caterpillar", 34)])
     def test_without_own_columns_every_target_sees_the_pool(self, shape, seed):

@@ -67,8 +67,9 @@ def _layered_value(name: str, flag_value, config: dict, config_path, caster):
 
 
 def _read_config(path: str | None) -> dict:
-    """key=value lines of a --config file; bytes that are not UTF-8 raise
-    OptionError naming the file and their line."""
+    """key=value lines of a --config file. OptionError names the file and
+    line of bytes that are not UTF-8, of a line with no '=' and of a key
+    that sets no option (threads is accepted and ignored)."""
     if path is None:
         return {}
     try:
@@ -76,12 +77,16 @@ def _read_config(path: str | None) -> dict:
     except UnicodeDecodeError as exc:
         raise OptionError(f"{path}: line {utf8_line(exc)}: not UTF-8 text: {exc}") from exc
     config = {}
-    for line in text.splitlines():
+    for i, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        key, _, value = line.partition("=")
-        config[key.strip()] = value.strip()
+        key, eq, value = (part.strip() for part in line.partition("="))
+        if not eq:
+            raise OptionError(f"{path}: line {i}: expected key = value, got {line!r}")
+        if key not in _DEFAULTS and key != "threads":
+            raise OptionError(f"{path}: line {i}: unknown key {key!r}")
+        config[key] = value
     return config
 
 

@@ -20,19 +20,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import chain
 from types import MappingProxyType
 from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .model import ParameterError, Parameters  # noqa: F401 (re-exported)
+from .model import RATE_INDEX, ParameterError, Parameters  # noqa: F401 (re-exported)
 from .tree import ConceptTree, Difficulty, QuestionMeta
 
 #: The (difficulty, correct) cell of each slot on axis 1 of packed counts.
 CELL_KEYS = tuple((d, c) for d in Difficulty for c in (0, 1))
 #: Per cell: its rate's position in (r_easy, r_med, r_hard), and whether
 #: it is a correct response.
-_CELL_RATE_CORRECT = tuple((list(Difficulty).index(d), c) for d, c in CELL_KEYS)
+_CELL_RATE_CORRECT = tuple((RATE_INDEX[d], c) for d, c in CELL_KEYS)
 
 
 class InferenceError(ValueError):
@@ -373,9 +374,18 @@ def cell_slots(tree: ConceptTree, interactions: Collection[Interaction]) -> list
         raise
 
 
-def count_cells(tree: ConceptTree, flat: Sequence[int], n: int) -> np.ndarray:
-    """Kernel counts [V, 6, n] by one bincount of flat cells slot * n +
-    column (slot: cell_slots)."""
+def count_cells(tree: ConceptTree, columns: Sequence[Sequence[int]]) -> np.ndarray:
+    """Kernel counts [V, 6, n] of n columns, each given as its responses'
+    flat cells (cell_slots), by one np.bincount of slot * n + column. The
+    one place that lays out [V, 6, n]: the offsets are built in numpy, and
+    a single column's slots go to the bincount as they are."""
+    n = len(columns)
+    if n == 1:
+        flat = columns[0]
+    else:
+        lengths = [*map(len, columns)]
+        flat = np.fromiter(chain.from_iterable(columns), np.intp, sum(lengths)) * n
+        flat += np.repeat(np.arange(n), lengths)
     v = len(tree.nodes)
     counts = np.bincount(flat, minlength=v * len(CELL_KEYS) * n).astype(np.float64)
     return counts.reshape(v, len(CELL_KEYS), n)
@@ -388,9 +398,7 @@ def pack_counts(
     through the tree's slot table. A history is an ObservationSet or a
     collection of anything with kc, difficulty and correct (see
     cell_slots)."""
-    n = len(histories)
-    return count_cells(tree, [slot * n + s for s, history in enumerate(histories)
-                              for slot in cell_slots(tree, history)], n)
+    return count_cells(tree, [cell_slots(tree, history) for history in histories])
 
 
 @lru_cache(maxsize=None)
@@ -594,11 +602,17 @@ def blend(mastery, epsilon, phi):
 def predict(
     params: Parameters, belief: BeliefTable, question: QuestionMeta
 ) -> Prediction:
-    """Blend mastered/unmastered correctness rates with the posterior."""
+    """Blend mastered/unmastered correctness rates with the posterior.
+    InferenceError names an unknown KC or a difficulty that is not a
+    Difficulty or its value."""
     p1 = belief.posterior_mastery(question.kc)
+    try:
+        phi = params.phi(question.difficulty)
+    except ValueError as exc:
+        raise InferenceError(*exc.args) from None
     return Prediction(
         question_id=question.question_id,
-        prob_correct=blend(p1, params.epsilon, params.phi(question.difficulty)),
+        prob_correct=blend(p1, params.epsilon, phi),
         posterior_mastery=p1,
     )
 

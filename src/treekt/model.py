@@ -29,6 +29,10 @@ DEFAULT_R_MED = 0.8
 DEFAULT_R_HARD = 0.75
 DEFAULT_EPSILON = 0.1
 
+#: Each difficulty's success rate by its position in (r_easy, r_med,
+#: r_hard). A Difficulty is a str, so its value finds the same entry.
+RATE_INDEX = {d: r for r, d in enumerate(Difficulty)}
+
 
 class ParameterError(ValueError):
     """A parameter is missing for a node or lies outside (0, 1)."""
@@ -63,11 +67,11 @@ class Parameters:
             raise KeyError(f"unknown node: {node_id!r}") from None
 
     def phi(self, difficulty: Difficulty) -> float:
-        if difficulty is Difficulty.EASY:
-            return self.r_easy
-        if difficulty is Difficulty.MEDIUM:
-            return self.r_med
-        return self.r_hard
+        """The success rate at mastery; ValueError names a non-difficulty."""
+        try:
+            return (self.r_easy, self.r_med, self.r_hard)[RATE_INDEX[difficulty]]
+        except KeyError:
+            raise ValueError(f"difficulty must be a Difficulty, got {difficulty!r}") from None
 
     def column(self, order: Sequence[str]) -> np.ndarray:
         """θ as one float column [V + 4]: γ of each node in order, then
@@ -158,6 +162,8 @@ def emission_prob(
     correct: int,
     mastery: int,
 ) -> float:
-    """P(answer correctness | mastery of the labeled concept)."""
-    p_correct = params.phi(difficulty) if mastery == 1 else params.epsilon
+    """P(answer correctness | mastery of the labeled concept). ValueError
+    names a difficulty that is not a Difficulty or its value."""
+    phi = params.phi(difficulty)
+    p_correct = phi if mastery == 1 else params.epsilon
     return p_correct if correct == 1 else 1.0 - p_correct

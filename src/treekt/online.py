@@ -20,11 +20,11 @@ target's history stands in its own pool column, or, for a newcomer, joins
 the pool as one more column; nothing copies the pool. The due students' θ
 columns go through the E-step, one M-step and one log form as [·, T]
 blocks. inference.targets_per_call sizes every kernel call. replay runs
-the stream as rounds. predict_next is one kernel call on one student's
-column, counted from the flat slot list each model keeps of its
-conditioning set; observe is a round of one student, which checks the
-response before it changes anything and, in a frozen session, only
-appends.
+the stream as rounds. Every call counts its columns from the slot lists of
+the students' conditioning sets, in frozen and updating sessions alike;
+predict_next is one kernel call on one student's column; observe is a
+round of one student, which checks the response before it changes
+anything and, in a frozen session, only appends.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from .inference import (
     pool_posteriors,
     targets_per_call,
 )
-from .model import Parameters, default_parameters
+from .model import RATE_INDEX, Parameters, default_parameters
 from .tree import ConceptTree, Difficulty, QuestionMeta, utf8_line
 
 @dataclass(frozen=True)
@@ -83,8 +83,8 @@ class StudentModel:
     """A student's θ as a column [V + 4] in the order of the tree's plan,
     with its log form [2V + 12] beside it, and the student's history. slots
     holds the flat cell (inference.cell_slots) of each response of the
-    conditioning set: burn-in, then history. A student who has had no
-    update shares the session's θ_init columns."""
+    conditioning set, burn-in then history, the only form the kernel reads.
+    A student who has had no update shares the session's θ_init columns."""
 
     student_id: str
     order: tuple[str, ...] = field(repr=False)
@@ -92,7 +92,6 @@ class StudentModel:
     log_theta: np.ndarray = field(repr=False)
     history: list[Interaction] = field(default_factory=list)
     pending: int = 0
-    packed: np.ndarray | None = field(default=None, repr=False)
     slots: list[int] = field(default_factory=list, repr=False)
 
     @property
@@ -111,7 +110,9 @@ class ClassroomSession:
     session checks its inputs before any work: a theta_init with no gamma
     for some node of the tree raises ParameterError, an update_batch other
     than None or an int >= 1 ValueError, and a burn-in response with no
-    kernel cell (inference.cell_slots) InferenceError.
+    kernel cell (inference.cell_slots) InferenceError. Every kernel call
+    counts its columns from slot lists (_counts); the burn-in pool is the
+    only count array a session keeps.
     """
 
     tree: ConceptTree
@@ -150,21 +151,13 @@ class ClassroomSession:
             history.extend(model.history)
         return history
 
-    def _history_counts(self, student_id: str) -> np.ndarray:
-        """The conditioning set as one kernel column [V, 6, 1], counted from
-        its slot list by one bincount. A session that updates keeps it on
-        the student's model, where each revealed response is added, as its
-        updates read it every round; it is no larger than the student's
-        column in the burn-in pool. A frozen session counts it on each read."""
-        model = self.students.get(student_id)
-        if model is not None and model.packed is not None:
-            return model.packed
-        slots = (model.slots if model is not None
-                 else self._burn_in_slots.get(student_id, ()))
-        counts = count_cells(self.tree, slots, 1)
-        if model is not None and self.update_batch is not None:
-            model.packed = counts
-        return counts
+    def _counts(self, student_ids: Sequence[str]) -> np.ndarray:
+        """The students' conditioning sets as kernel columns [V, 6, n], in
+        order, counted from their slot lists by one count_cells."""
+        students, burn_in = self.students, self._burn_in_slots
+        return count_cells(self.tree, [
+            model.slots if (model := students.get(sid)) is not None else burn_in.get(sid, ())
+            for sid in student_ids])
 
     @cached_property
     def pool_columns(self) -> dict[str, int]:
@@ -175,9 +168,7 @@ class ClassroomSession:
     def pool(self) -> np.ndarray:
         """The burn-in pool as kernel counts [V, 6, S]: a column per
         student in student-id order. Counted once, from the burn-in slots."""
-        n = len(self.pool_columns)
-        return count_cells(self.tree, [slot * n + s for sid, s in self.pool_columns.items()
-                                       for slot in self._burn_in_slots[sid]], n)
+        return count_cells(self.tree, [*map(self._burn_in_slots.get, self.pool_columns)])
 
 
 def burn_in_fit(
@@ -212,20 +203,17 @@ def _block(columns: Sequence[np.ndarray]) -> np.ndarray:
     return np.ascontiguousarray(np.array(columns).T)
 
 
-#: Each difficulty's rate row in a θ column, counted from the first rate.
-_RATE_ROW = {d: r for r, d in enumerate(Difficulty)}
-
-
 def _rows(plan, questions: Iterable[QuestionMeta]) -> tuple[list[int], list[int]]:
     """Each question's node row in the kernel's output and its rate's row in
-    a θ column. InferenceError names an unknown KC or a difficulty that is
-    not a Difficulty."""
+    a θ column (model.RATE_INDEX). A question is anything with kc and
+    difficulty, such as a QuestionMeta or a StreamRecord. InferenceError
+    names an unknown KC or a difficulty that is not a Difficulty."""
     try:
         nodes = [plan.index[q.kc] for q in questions]
     except KeyError as exc:
         raise InferenceError(f"unknown KC: {exc.args[0]!r}") from None
     try:
-        rates = [len(plan.order) + _RATE_ROW[q.difficulty] for q in questions]
+        rates = [len(plan.order) + RATE_INDEX[q.difficulty] for q in questions]
     except KeyError as exc:
         raise InferenceError(f"difficulty must be a Difficulty, got {exc.args[0]!r}") from None
     return nodes, rates
@@ -233,7 +221,7 @@ def _rows(plan, questions: Iterable[QuestionMeta]) -> tuple[list[int], list[int]
 
 def _predict_round(
     session: ClassroomSession, student_ids: Sequence[str],
-    questions: Sequence[QuestionMeta],
+    questions: Sequence[QuestionMeta | StreamRecord],
 ) -> list[float]:
     """P(correct) for one question for each of distinct students, every
     student at their own θ and history, in kernel calls of
@@ -247,7 +235,7 @@ def _predict_round(
         chunk = student_ids[a:a + size]
         thetas, logs = zip(*[init if m is None else (m.theta, m.log_theta)
                              for m in map(session.students.get, chunk)])
-        counts = np.concatenate([*map(session._history_counts, chunk)], axis=2)
+        counts = session._counts(chunk)
         if all(log is logs[0] for log in logs):
             # One target over the chunk: a frozen session predicts as
             # predict_next does, bit for bit.
@@ -281,8 +269,6 @@ def _reveal_round(
                                  *session._init_columns(),
                                  slots=list(session._burn_in_slots.get(student_id, ())))
             session.students[student_id] = model
-        if model.packed is not None:
-            model.packed.flat[slot] += 1.0
         model.history.append(interaction)
         model.slots.append(slot)
         if session.update_batch is None:
@@ -295,7 +281,7 @@ def _reveal_round(
     # A newcomer's history joins the pool as one more column.
     joins = len(session.pool_columns)
     at = np.array([session.pool_columns.get(m.student_id, joins) for m in due])
-    own = np.concatenate([session._history_counts(m.student_id) for m in due], axis=2)
+    own = session._counts([m.student_id for m in due])
     acc = pooled_e_step(tree, _block([m.log_theta for m in due]), session.pool, (at, own))
     theta = batch_m_step(acc, _block([m.theta for m in due]))
     for model, column, log_column in zip(due, theta.T, log_form(theta).T):
@@ -324,8 +310,7 @@ def predict_next(
     model = session.students.get(student_id)
     theta, log_theta = (session._init_columns() if model is None
                         else (model.theta, model.log_theta))
-    post = pool_posteriors(session.tree, log_theta[:, None],
-                           session._history_counts(student_id))
+    post = pool_posteriors(session.tree, log_theta[:, None], session._counts([student_id]))
     mastery = post.marginal[row, 0, 0]
     return Prediction(question.question_id, float(blend(mastery, theta[-1], theta[rate])),
                       float(mastery))
@@ -346,11 +331,10 @@ def replay(
         queues.setdefault(rec.student_id, []).append(i)
     records: list = [None] * len(stream)
     for t in range(max(map(len, queues.values()), default=0)):
-        batch = [(i, stream[i]) for i in (q[t] for q in queues.values() if len(q) > t)]
-        probs = _predict_round(
-            session, [rec.student_id for _, rec in batch],
-            [QuestionMeta(rec.question_id, rec.kc, rec.difficulty) for _, rec in batch])
-        for (i, rec), p_correct in zip(batch, probs):
+        indices = [q[t] for q in queues.values() if len(q) > t]
+        batch = [stream[i] for i in indices]
+        probs = _predict_round(session, [rec.student_id for rec in batch], batch)
+        for i, rec, p_correct in zip(indices, batch, probs):
             records[i] = PredictionRecord(
                 student_id=rec.student_id,
                 question_id=rec.question_id,
@@ -358,7 +342,7 @@ def replay(
                 actual=rec.correct,
                 seq=rec.seq,
             )
-        _reveal_round(session, [(rec.student_id, rec.interaction()) for _, rec in batch])
+        _reveal_round(session, [(rec.student_id, rec.interaction()) for rec in batch])
     return records
 
 

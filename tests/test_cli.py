@@ -379,6 +379,33 @@ class TestOptionLayering:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["fit", "eval", "validate-tree"])
+    @pytest.mark.parametrize("line, detail", [
+        ("max_iter = 0", "unknown key 'max_iter'"),
+        ("burnin=5", "unknown key 'burnin'"),
+        ("= 5", "unknown key ''"),
+        ("garbage line", "expected key = value, got 'garbage line'"),
+    ])
+    def test_config_line_that_sets_nothing_exits_two(self, tmp_path, capsys, tree_file,
+                                                     command, line, detail):
+        config = tmp_path / "opts.cfg"
+        config.write_text(f"# options\nmax_iters = 5\n{line}\nthreads = 4\n")
+        argv = [command, "--config", str(config), "--tree", tree_file]
+        if command != "validate-tree":
+            argv += ["--stream", str(tmp_path / "stream.jsonl"), "--out", str(tmp_path / "out")]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"error: {config}: line 3: {detail}\n"
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    def test_config_threads_line_is_accepted_and_ignored(self, tmp_path, capsys, tree_file):
+        config = tmp_path / "opts.cfg"
+        config.write_text("threads = 4\n")
+        assert main(["validate-tree", "--config", str(config), "--tree", tree_file]) == 0
+        assert capsys.readouterr().err == ""
+
 
 class TestMaxIters:
     @pytest.mark.parametrize("command", ["fit", "eval"])

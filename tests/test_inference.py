@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from treekt import (
+    ClassroomSession,
     Difficulty,
     Interaction,
     Parameters,
@@ -15,12 +16,14 @@ from treekt import (
     observation_set,
     posteriors,
     predict,
+    predict_next,
 )
 from treekt.inference import (
     CELL_KEYS,
     BeliefTable,
     InferenceError,
     ParameterError,
+    count_cells,
     kernel_plan,
     log_form,
     pack_counts,
@@ -150,6 +153,21 @@ class TestOracleAgreement:
                         assert belief.pairwise[node][cell] == pytest.approx(
                             value, abs=1e-12
                         )
+
+    def test_difficulty_values_agree_with_the_oracle(self):
+        # A response's difficulty given as the enum's value is that
+        # difficulty, in the kernel's cells and in the oracle's emissions.
+        rng = np.random.default_rng(44)
+        for _ in range(20):
+            tree, params, obs = random_instance(rng)
+            obs = observation_set(tree, [
+                Interaction(it.question_id, it.kc, it.difficulty.value, it.correct)
+                for it in obs])
+            belief = posteriors(tree, params, obs)
+            oracle = brute_force_posteriors(tree, params, obs)
+            assert abs(belief.log_likelihood - oracle.log_likelihood) <= 1e-10
+            for node in tree.nodes:
+                assert abs(belief.marginal[node] - oracle.marginal[node]) <= 1e-10
 
     def test_log_likelihood_helper_matches_posteriors(self):
         rng = np.random.default_rng(43)
@@ -579,6 +597,21 @@ class TestUpwardSchedule:
 
 
 class TestSlotPacker:
+    @pytest.mark.parametrize("lengths", [[], [0], [9], [0, 0], [4, 0, 11, 1]])
+    def test_count_cells_equals_a_bincount_per_column(self, lengths):
+        tree = caterpillar_tree(3)
+        rng = np.random.default_rng(len(lengths))
+        cells = sorted(kernel_plan(tree).slots.values())
+        columns = [rng.choice(cells, size=n).tolist() for n in lengths]
+        got = count_cells(tree, columns)
+        size = len(tree.nodes) * len(CELL_KEYS)
+        want = np.zeros((size, 0)) if not columns else np.stack(
+            [np.bincount(column, minlength=size).astype(np.float64) for column in columns],
+            axis=1)
+        assert got.dtype == np.float64
+        assert got.shape == (len(tree.nodes), len(CELL_KEYS), len(columns))
+        np.testing.assert_array_equal(got, want.reshape(got.shape))
+
     @settings(max_examples=30, deadline=None)
     @given(
         shape=st.sampled_from(["random", "chain", "star", "caterpillar"]),
@@ -728,4 +761,26 @@ class TestPredict:
         belief = posteriors(tree, params, observation_set(tree, []))
         with pytest.raises(InferenceError, match="unknown KC"):
             predict(params, belief, QuestionMeta("q", "ghost", Difficulty.EASY))
+
+    def test_difficulty_by_value_equals_predict_next(self):
+        rng = np.random.default_rng(49)
+        for _ in range(10):
+            tree, params, obs = random_instance(rng)
+            belief = posteriors(tree, params, obs)
+            session = ClassroomSession(tree=tree, burn_in={"s": list(obs)},
+                                       theta_init=params, update_batch=None)
+            for leaf in tree.leaves():
+                for d in Difficulty:
+                    by_value = QuestionMeta("q", leaf, d.value)
+                    got = predict(params, belief, by_value)
+                    assert got == predict(params, belief, QuestionMeta("q", leaf, d))
+                    assert got == predict_next(session, "s", by_value)
+
+    def test_difficulty_that_is_not_one(self):
+        tree = single_node_tree()
+        params = single_node_params()
+        belief = posteriors(tree, params, observation_set(tree, []))
+        with pytest.raises(InferenceError,
+                           match="^difficulty must be a Difficulty, got 'weird'$"):
+            predict(params, belief, QuestionMeta("q", "only", "weird"))
 

@@ -61,6 +61,13 @@ class TestParameters:
         assert params.phi(Difficulty.MEDIUM) == params.r_med
         assert params.phi(Difficulty.HARD) == params.r_hard
 
+    def test_phi_looks_a_difficulty_up_by_value(self):
+        params = make_params()
+        for d in Difficulty:
+            assert params.phi(d.value) == params.phi(d)
+        with pytest.raises(ValueError, match="difficulty must be a Difficulty, got 'weird'"):
+            params.phi("weird")
+
     def test_json_roundtrip_is_lossless(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
@@ -152,6 +159,17 @@ class TestEmission:
         for d in Difficulty:
             assert emission_prob(params, d, 1, 0) == 0.1
             assert emission_prob(params, d, 0, 0) == pytest.approx(0.9)
+
+    def test_difficulty_by_value(self):
+        params = make_params()
+        for d in Difficulty:
+            for correct in (0, 1):
+                for mastery in (0, 1):
+                    assert (emission_prob(params, d.value, correct, mastery)
+                            == emission_prob(params, d, correct, mastery))
+        for mastery in (0, 1):
+            with pytest.raises(ValueError, match="got 'weird'"):
+                emission_prob(params, "weird", 1, mastery)
 
     @given(prob, prob, prob, prob, st.sampled_from(list(Difficulty)),
            st.sampled_from([0, 1]))

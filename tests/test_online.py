@@ -429,7 +429,6 @@ class TestSessionLifecycle:
                              question)
             assert predict_next(session, rec.student_id, question) == direct
             observe(session, rec.student_id, rec.interaction())
-        assert all(model.packed is None for model in session.students.values())
 
     def test_frozen_reads_do_no_log_work(self, monkeypatch):
         # A frozen session builds theta_init's log form once; a read of an
@@ -618,9 +617,9 @@ class TestLockStepReplay:
 
 
 class TestReadPath:
-    """A frozen session counts each column from the student's slot list and
-    predicts with one kernel call; observe checks a response before it
-    changes anything."""
+    """Every session counts each column from the student's slot list, and a
+    frozen one predicts with one kernel call; observe checks a response
+    before it changes anything."""
 
     @staticmethod
     def session(update_batch=None, seed=14):
@@ -659,16 +658,36 @@ class TestReadPath:
         q = bank[0]
         observe(session, "m_new", Interaction(q.question_id, q.kc, q.difficulty, 1))
         quiet = next(other for other in sorted(session.burn_in) if other != sid)
-        for sid in (sid, "m_new", quiet, "never_seen"):
-            counts = session._history_counts(sid)
+        ids = [sid, "m_new", quiet, "never_seen"]
+        for sid in ids:
+            counts = session._counts([sid])
             want = pack_counts(session.tree, [session.student_history(sid)])
             assert counts.dtype == want.dtype and counts.shape == want.shape
             assert np.array_equal(counts, want)
+        # One call on all four counts the same columns, in the order asked.
+        counts = session._counts(ids)
+        assert counts.dtype == np.float64 and counts.shape[2] == len(ids)
+        for j, sid in enumerate(ids):
+            assert np.array_equal(counts[:, :, j:j + 1], session._counts([sid]))
         # The pool is counted from the same burn-in slots, members in id
         # order, and holds only the burn-in.
         want = pack_counts(session.tree, [*map(session.burn_in.get, sorted(session.burn_in))])
         assert session.pool.shape[2] == len(session.burn_in)
         assert session.pool.dtype == want.dtype and np.array_equal(session.pool, want)
+
+    @pytest.mark.parametrize("update_batch", [None, 1])
+    def test_models_keep_no_count_columns(self, update_batch):
+        # Frozen and updating sessions build models with the same fields,
+        # and a model's only arrays are its θ column and their log form.
+        session, bank, remainder = self.session(update_batch)
+        q = bank[0]
+        observe(session, "m_new", Interaction(q.question_id, q.kc, q.difficulty, 1))
+        replay(session, remainder)
+        assert session.students
+        for model in session.students.values():
+            arrays = [name for name, value in vars(model).items()
+                      if isinstance(value, np.ndarray)]
+            assert arrays == ["theta", "log_theta"]
 
     def test_burn_in_fit_fits_the_pool_itself(self, monkeypatch):
         import treekt.online

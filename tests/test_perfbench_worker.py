@@ -3,6 +3,9 @@ perfbench/worker.py runs works on a tiny classroom, so an API change that
 would break the benchmark fails here first."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +17,8 @@ from treekt.tree import QuestionMeta, serialize_tree
 
 from conftest import caterpillar_tree
 
-WORKER = Path(__file__).resolve().parent.parent / "perfbench" / "worker.py"
+ROOT = Path(__file__).resolve().parent.parent
+WORKER = ROOT / "perfbench" / "worker.py"
 BURN_IN = 3
 
 
@@ -25,12 +29,44 @@ def load_worker():
     return module
 
 
-def test_worker_modes_run_and_serve_predicts_as_a_frozen_session(tmp_path):
+def tiny_classroom(tmp_path) -> Path:
     tree_path = tmp_path / "caterpillar.json"
     tree_path.write_text(serialize_tree(caterpillar_tree(4)), encoding="utf-8")
     inputs = tmp_path / "inputs"
     assert main(["simulate", "--tree", str(tree_path), "--students", "5",
                  "--interactions", "8", "--seed", "1", "--out", str(inputs)]) == 0
+    return inputs
+
+
+def traced_span_names(spans: Path, *argv: str) -> set[str]:
+    """Run the worker with tracing in a child process (the tracer rebinds
+    module globals) and return the names of the spans it recorded."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, str(WORKER), *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    with np.load(spans) as trace:
+        return set(trace["names"][trace["name_ids"]].tolist())
+
+
+def test_traced_modes_record_the_kernel_and_the_counter(tmp_path):
+    inputs = tiny_classroom(tmp_path)
+    names = traced_span_names(tmp_path / "serve.npz", "serve", str(inputs),
+                              str(tmp_path / "serve"), "0", str(BURN_IN),
+                              "--trace", str(tmp_path / "serve.npz"))
+    assert {"online.predict_next", "online.observe", "inference.pool_posteriors",
+            "inference.count_cells"} <= names
+    names = traced_span_names(tmp_path / "eval.npz", "cli", str(tmp_path / "eval.npz"),
+                              "eval", "--tree", str(inputs / "tree.json"),
+                              "--stream", str(inputs / "stream.jsonl"),
+                              "--out", str(tmp_path / "eval"), "--burn-in", str(BURN_IN))
+    assert {"cli.main", "inference.pool_posteriors", "em.pooled_e_step"} <= names
+    assert (tmp_path / "eval" / "metrics.json").is_file()
+
+
+def test_worker_modes_run_and_serve_predicts_as_a_frozen_session(tmp_path):
+    inputs = tiny_classroom(tmp_path)
     worker = load_worker()
     for kind in ("fit", "eval", "serve"):
         worker.setup(kind, inputs, BURN_IN)

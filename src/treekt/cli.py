@@ -4,7 +4,9 @@ Exit codes: 0 success, 1 domain failure (validation violations, oracle
 mismatch), 2 environment failure (missing files, unparseable input).
 
 Option precedence: explicit flags > --config file (key=value lines) >
-TREEKT_* environment variables > built-in defaults.
+TREEKT_* environment variables > built-in defaults; each command reads the
+config keys it takes and ignores the others. Only main, not the library,
+has glibc keep inference.HEAP_TOP_PAD freed bytes at the heap top.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .evaluate import ExperimentConfig, csv_lines, run_experiment
-from .inference import Interaction, observation_set, posteriors
+from .inference import HEAP_TOP_PAD, Interaction, observation_set, posteriors
 from .model import Parameters, default_parameters
 from .online import StreamFormatError, burn_in_fit, load_stream, prediction_lines
 from .tree import (
@@ -318,7 +320,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _pin_heap_top() -> None:
+    """glibc's mallopt(M_TOP_PAD, HEAP_TOP_PAD); skipped where libc has none."""
+    import ctypes
+    try:  # M_TOP_PAD is -2 in malloc.h; mallopt takes and returns C ints
+        ctypes.CDLL(None).mallopt(ctypes.c_int(-2), ctypes.c_int(HEAP_TOP_PAD))
+    except (OSError, TypeError, AttributeError):
+        pass
+
+
 def main(argv: list[str] | None = None) -> int:
+    _pin_heap_top()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

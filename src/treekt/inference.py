@@ -96,8 +96,11 @@ _NARROW = 16
 #: predicted student, or an update's whole burn-in pool: 8 targets a call
 #: on a 12-node tree and a pool of 100. Twice the cells put eval-online's
 #: peak RSS 0.8 MB above 8 targets' for no clear gain. A fixed rule keeps
-#: every result the same across runs.
+#: every result the same across runs. HEAP_TOP_PAD, the bytes cli.main has
+#: glibc keep free at its heap top, is 16 float64 arrays of a call's cells,
+#: so that one call's freed working set is not trimmed and faulted back in.
 CALL_CELLS = 10_000
+HEAP_TOP_PAD = 128 * CALL_CELLS
 
 
 def targets_per_call(target_cells: int) -> int:

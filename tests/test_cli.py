@@ -16,6 +16,7 @@ from treekt import default_parameters, load_tree, serialize_tree
 from treekt import cli
 from treekt.cli import main
 from treekt.evaluate import ExperimentConfig, csv_lines, run_experiment
+from treekt.inference import HEAP_TOP_PAD
 from treekt.online import burn_in_fit, load_stream, prediction_lines, serialize_stream
 from treekt.simulate import (
     SimConfig,
@@ -51,6 +52,13 @@ def simulate_into(tmp_path, extra=()):
     ])
     assert code == 0
     return out
+
+
+def child_env() -> dict:
+    """The environment of a child Python that imports this checkout's treekt."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 class TestValidateTree:
@@ -243,13 +251,10 @@ class TestFitAndEval:
         sim = tmp_path / "sim"
         assert main(["simulate", "--nodes", "20", "--students", "100",
                      "--interactions", "13", "--seed", "3", "--out", str(sim)]) == 0
-        src = str(Path(cli.__file__).resolve().parents[1])
         outputs = []
         for threads in ("1", "2"):
             out = tmp_path / f"blas{threads}"
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-                   "PYTHONPATH": os.pathsep.join(
-                       filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            env = {**child_env(), "OPENBLAS_NUM_THREADS": threads}
             done = subprocess.run(
                 [sys.executable, "-m", "treekt.cli", "eval",
                  "--tree", str(sim / "tree.json"), "--stream", str(sim / "stream.jsonl"),
@@ -405,6 +410,96 @@ class TestOptionLayering:
         config.write_text("threads = 4\n")
         assert main(["validate-tree", "--config", str(config), "--tree", tree_file]) == 0
         assert capsys.readouterr().err == ""
+
+    def test_config_keys_of_other_commands_are_ignored(self, tmp_path):
+        # One config file serves every command, as TREEKT_* variables do:
+        # fit takes neither burn_in nor threshold and reads neither.
+        sim = simulate_into(tmp_path)
+        config = tmp_path / "opts.cfg"
+        config.write_text("burn_in = 3\nthreshold = 0.7\n")
+        outputs = []
+        for extra in ([], ["--config", str(config)]):
+            out = tmp_path / f"fit{len(extra)}"
+            assert main(["fit", "--tree", str(sim / "tree.json"),
+                         "--stream", str(sim / "stream.jsonl"), "--out", str(out),
+                         "--max-iters", "15", *extra]) == 0
+            outputs.append({name: (out / name).read_bytes()
+                            for name in ["params.json", "fit_report.json"]})
+        assert outputs[0] == outputs[1]
+
+
+class TestHeapTopPin:
+    """main has glibc keep HEAP_TOP_PAD freed bytes at the heap top; the
+    library never touches the allocator, and no output depends on it."""
+
+    @staticmethod
+    def _eval_bytes(sim, out) -> dict:
+        assert main(["eval", "--tree", str(sim / "tree.json"),
+                     "--stream", str(sim / "stream.jsonl"), "--out", str(out),
+                     "--burn-in", "4"]) == 0
+        return {name: (out / name).read_bytes()
+                for name in ["metrics.json", "predictions.jsonl", "predictions.csv"]}
+
+    @pytest.mark.parametrize("libc", ["raises", "no_mallopt"])
+    def test_main_runs_where_libc_has_no_mallopt(self, tmp_path, monkeypatch, libc):
+        import ctypes
+
+        sim = simulate_into(tmp_path)
+        want = self._eval_bytes(sim, tmp_path / "pinned")
+        calls = []
+
+        def cdll(name, *args, **kwargs):
+            calls.append(name)
+            if libc == "raises":
+                raise OSError("no C library")
+            return object()
+
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        assert self._eval_bytes(sim, tmp_path / "unpinned") == want
+        assert calls == [None]
+
+    def test_no_import_calls_mallopt(self):
+        script = """
+import ctypes, json
+
+calls = []
+
+class Recorder:
+    def __getattr__(self, name):
+        return lambda *args: calls.append([name, *(getattr(a, 'value', a) for a in args)]) or 0
+
+ctypes.CDLL = lambda *args, **kwargs: Recorder()
+import treekt, treekt.cli, treekt.online, treekt.em
+on_import = list(calls)
+treekt.cli._pin_heap_top()
+print(json.dumps({"on_import": on_import, "pin": calls[len(on_import):]}, default=repr))
+"""
+        done = subprocess.run([sys.executable, "-c", script], env=child_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        seen = json.loads(done.stdout)
+        assert [c for c in seen["on_import"] if c[0] == "mallopt"] == []
+        # The recorder does see the helper's call: M_TOP_PAD is -2 in glibc.
+        assert seen["pin"] == [["mallopt", -2, HEAP_TOP_PAD]]
+
+    def test_eval_outputs_do_not_depend_on_the_pin(self, tmp_path):
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--nodes", "12", "--students", "40",
+                     "--interactions", "12", "--seed", "2", "--out", str(sim)]) == 0
+        outputs = []
+        for swap in ("", "cli._pin_heap_top = lambda: None; "):
+            out = tmp_path / ("unpinned" if swap else "pinned")
+            script = (f"import sys; from treekt import cli; {swap}"
+                      "sys.exit(cli.main(sys.argv[1:]))")
+            done = subprocess.run(
+                [sys.executable, "-c", script, "eval", "--tree", str(sim / "tree.json"),
+                 "--stream", str(sim / "stream.jsonl"), "--out", str(out), "--burn-in", "10"],
+                env=child_env(), capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            outputs.append({name: (out / name).read_bytes()
+                            for name in ["metrics.json", "predictions.jsonl",
+                                         "predictions.csv"]})
+        assert outputs[0] == outputs[1]
 
 
 class TestMaxIters:

@@ -10,6 +10,33 @@ shared model with one-step EM updates per new response.
 
 __version__ = "0.1.0"
 
+#: Names imported on first read, so that fitting and scoring load neither
+#: simulate nor view: name -> (its module, the core module also serving it).
+_LAZY = {
+    **dict.fromkeys(("GroundTruth", "SimConfig", "brute_force_posteriors",
+                     "generate_classroom", "random_question_bank", "random_tree",
+                     "sample_response", "sample_states"), ("simulate", None)),
+    **dict.fromkeys(("ObservationSet", "observation_set", "pack_counts", "BeliefTable",
+                     "posteriors", "predict", "log_likelihood"), ("view", "inference")),
+    **dict.fromkeys(("StudentObservations", "pack_dataset", "SufficientStats", "e_step",
+                     "m_step", "one_step_update"), ("view", "em")),
+}
+
+
+def _lazy_attribute(module: str, name: str):
+    """PEP 562 __getattr__ of treekt, inference and em (defined before the
+    imports below, as they bind it): a name of _LAZY, from treekt or its home."""
+    source, home = _LAZY.get(name, (None, None))
+    if source is not None and module in (__name__, f"{__name__}.{home}"):
+        from importlib import import_module
+        return getattr(import_module(f"{__name__}.{source}"), name)
+    raise AttributeError(f"module {module!r} has no attribute {name!r}")
+
+
+def __getattr__(name: str):
+    return _lazy_attribute(__name__, name)
+
+
 from .tree import (
     ConceptNode,
     ConceptTree,
@@ -32,25 +59,8 @@ from .model import (
     emission_prob,
     transition_prob,
 )
-from .inference import (
-    BeliefTable,
-    Interaction,
-    ObservationSet,
-    Prediction,
-    log_likelihood,
-    observation_set,
-    posteriors,
-    predict,
-)
-from .em import (
-    FitReport,
-    StudentObservations,
-    SufficientStats,
-    e_step,
-    fit,
-    m_step,
-    one_step_update,
-)
+from .inference import Interaction, Prediction
+from .em import FitReport, fit
 from .online import (
     ClassroomSession,
     PredictionRecord,
@@ -72,24 +82,3 @@ from .evaluate import (
     metrics_report,
     run_experiment,
 )
-
-#: Names of treekt.simulate, which is imported on the first read of one, so
-#: that fitting and scoring processes never load the simulator.
-_SIMULATE_NAMES = frozenset({
-    "GroundTruth",
-    "SimConfig",
-    "brute_force_posteriors",
-    "generate_classroom",
-    "random_question_bank",
-    "random_tree",
-    "sample_response",
-    "sample_states",
-})
-
-
-def __getattr__(name: str):
-    if name in _SIMULATE_NAMES:
-        from . import simulate
-
-        return getattr(simulate, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .evaluate import ExperimentConfig, csv_lines, run_experiment
-from .inference import HEAP_TOP_PAD, Interaction, observation_set, posteriors
+from .inference import HEAP_TOP_PAD, Interaction
 from .model import Parameters, default_parameters
 from .online import StreamFormatError, burn_in_fit, load_stream, prediction_lines
 from .tree import (
@@ -157,6 +157,11 @@ def cmd_fit(args) -> int:
 def cmd_simulate(args) -> int:
     from .simulate import SimConfig, generate_classroom, random_question_bank, random_tree
 
+    for name, least in (("students", 0), ("interactions", 0), ("nodes", 1),
+                        ("questions_per_leaf", 1)):
+        if getattr(args, name) < least:  # before any work, as in oracle-check
+            raise ValueError(f"--{name.replace('_', '-')} {getattr(args, name)}: "
+                             f"must be at least {least}")
     rng = np.random.default_rng(args.seed)
     if args.tree:
         tree = load_tree(args.tree)
@@ -208,6 +213,7 @@ def cmd_oracle_check(args) -> int:
         sample_response,
         sample_states,
     )
+    from .view import observation_set, posteriors
 
     if args.instances < 0:
         raise ValueError(f"--instances {args.instances}: cannot be negative")

@@ -12,75 +12,30 @@ as one more column, as replay's one-step updates do. The M-step turns the
 accumulator arrays into a new θ block by simple ratios, in numpy
 expressions over the block. Every update keeps the guessing probability
 capped and all probabilities strictly inside (0,1), which preserves the EM
-monotonicity guarantee. The one-target API (SufficientStats, e_step,
-m_step, one_step_update, fit) is the pooled path with T = 1 and no
-replaced column.
+monotonicity guarantee. fit is the pooled path with T = 1 and no replaced
+column; the one-target API by node id (SufficientStats, e_step, m_step,
+one_step_update) lives in treekt.view, and this module serves it too.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from dataclasses import dataclass
+from functools import partial
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
-from .inference import (
-    CELL_KEYS,
-    ObservationSet,
-    kernel_plan,
-    log_form,
-    pack_counts,
-    pool_posteriors,
-    targets_per_call,
-)
+from . import _lazy_attribute
+from .inference import kernel_plan, log_form, pool_posteriors, targets_per_call
 from .model import EPSILON_CAP, ParameterError, Parameters, clamp_probability
-from .tree import ConceptTree, Difficulty
+from .tree import ConceptTree
+
+if TYPE_CHECKING:
+    from .view import StudentObservations
 
 logger = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class StudentObservations:
-    student_id: str
-    obs: ObservationSet
-
-
-def pack_dataset(
-    tree: ConceptTree, dataset: Sequence[StudentObservations] | np.ndarray
-) -> np.ndarray:
-    """Kernel counts [V, 6, S], a column per student in student-id order."""
-    if isinstance(dataset, np.ndarray):
-        return dataset
-    ordered = sorted(dataset, key=lambda s: s.student_id)
-    return pack_counts(tree, [s.obs for s in ordered])
-
-
-@dataclass
-class SufficientStats:
-    """Posterior accumulators summed over students: one target's
-    Accumulators by node id and difficulty, as e_step gives and m_step
-    takes them.
-
-    gamma_num[c] collects mass on (child mastered, parent not); the extra
-    denominator term collects (child not, parent not). root_num collects the
-    root mastery marginal. eps_* and r_* collect unmastered/mastered mass on
-    correctly (pos) and incorrectly (neg) answered questions.
-    """
-
-    gamma_num: dict[str, float] = field(default_factory=dict)
-    gamma_den_extra: dict[str, float] = field(default_factory=dict)
-    root_num: float = 0.0
-    n_students: int = 0
-    eps_pos: float = 0.0
-    eps_neg: float = 0.0
-    r_pos: dict[Difficulty, float] = field(
-        default_factory=lambda: {d: 0.0 for d in Difficulty}
-    )
-    r_neg: dict[Difficulty, float] = field(
-        default_factory=lambda: {d: 0.0 for d in Difficulty}
-    )
 
 
 @dataclass
@@ -234,56 +189,6 @@ def _em_step(
     return float(acc.ll[0]), batch_m_step(acc, theta)
 
 
-def e_step(
-    tree: ConceptTree,
-    params: Parameters,
-    dataset: Sequence[StudentObservations] | np.ndarray,
-) -> tuple[SufficientStats, float]:
-    """Accumulate sufficient statistics; also returns the total data
-    log-likelihood at the current parameters (a free by-product).
-
-    The dataset may come packed (see pack_dataset). This is pooled_e_step
-    with one target, over the students in student-id order, so the order
-    of the dataset does not matter.
-    """
-    order, theta = _theta(tree, params)
-    acc = pooled_e_step(tree, log_form(theta), pack_dataset(tree, dataset))
-    pair = acc.pair[:, 1:, 0].tolist()
-    u, m = acc.unmastered[0].tolist(), acc.mastered[0].tolist()
-    stats = SufficientStats(
-        gamma_num=dict(zip(order[1:], pair[1])),
-        gamma_den_extra=dict(zip(order[1:], pair[0])),
-        root_num=float(acc.root[0]),
-        n_students=acc.n_students,
-        eps_pos=u[1] + u[3] + u[5],
-        eps_neg=u[0] + u[2] + u[4],
-        r_pos=dict(zip(Difficulty, m[1::2])),
-        r_neg=dict(zip(Difficulty, m[0::2])),
-    )
-    return stats, float(acc.ll[0])
-
-
-def m_step(stats: SufficientStats, prev: Parameters) -> Parameters:
-    """batch_m_step for one target given as SufficientStats: every node of
-    prev that has no pairwise cell in stats gets the root's update, the
-    mean root marginal."""
-    inner = list(stats.gamma_num)
-    acc = Accumulators(
-        unmastered=np.array([[stats.eps_neg, stats.eps_pos, 0.0, 0.0, 0.0, 0.0]]),
-        mastered=np.array([[stats.r_pos[d] if c else stats.r_neg[d] for d, c in CELL_KEYS]]),
-        pair=np.array([[0.0, *(stats.gamma_den_extra.get(n, 0.0) for n in inner)],
-                       [0.0, *(stats.gamma_num[n] for n in inner)]])[:, :, None],
-        root=np.array([stats.root_num]),
-        n_students=stats.n_students,
-    )
-    # Row 0 stands for the root, whose previous γ is never kept.
-    theta = batch_m_step(acc, np.insert(prev.column(inner), 0, 0.5)[:, None])
-    theta = theta[:, 0].tolist()
-    gamma = dict.fromkeys(prev.gamma, theta[0])
-    gamma.update(zip(inner, theta[1:-4]))
-    return Parameters(gamma, *theta[-4:])
-
-
 def fit(
     tree: ConceptTree,
     dataset: Sequence[StudentObservations] | np.ndarray,
@@ -300,8 +205,10 @@ def fit(
         raise ValueError(f"max_iters {max_iters}: EM needs at least one iteration")
     if not tol >= 0.0:  # also NaN
         raise ValueError(f"tol {tol}: EM's tolerance must be a number >= 0")
-    counts = pack_dataset(tree, dataset)
-    if counts.shape[2] == 0:
+    if not isinstance(dataset, np.ndarray):
+        from .view import pack_dataset
+        dataset = pack_dataset(tree, dataset)
+    if dataset.shape[2] == 0:
         raise ValueError("fit requires a non-empty dataset")
     order, theta = _theta(tree, init)
     trace: list[float] = []
@@ -310,7 +217,7 @@ def fit(
     iterations = 0
     unordered: list[int] = []
     for _ in range(max_iters):
-        ll, update = _em_step(tree, theta, counts)
+        ll, update = _em_step(tree, theta, dataset)
         trace.append(ll)
         if prev_ll is not None and abs(ll - prev_ll) < tol:
             converged = True
@@ -338,13 +245,5 @@ def fit(
     )
 
 
-def one_step_update(
-    tree: ConceptTree,
-    params: Parameters,
-    dataset: Sequence[StudentObservations] | np.ndarray,
-) -> Parameters:
-    """Exactly one EM iteration, as fit runs it; never decreases the
-    dataset likelihood. An empty dataset is rejected by the M-step."""
-    order, theta = _theta(tree, params)
-    _, update = _em_step(tree, theta, pack_dataset(tree, dataset))
-    return Parameters.from_column(order, update[:, 0])
+#: The per-student view's names this module serves (treekt._LAZY).
+__getattr__ = partial(_lazy_attribute, __name__)

@@ -19,15 +19,15 @@ a single student is one target over a pool of one column.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache, partial
 from itertools import chain
-from types import MappingProxyType
-from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Collection, NamedTuple, Sequence
 
 import numpy as np
 
-from .model import RATE_INDEX, ParameterError, Parameters  # noqa: F401 (re-exported)
-from .tree import ConceptTree, Difficulty, QuestionMeta
+from . import _lazy_attribute
+from .model import RATE_INDEX, ParameterError  # noqa: F401 (re-exported)
+from .tree import ConceptTree, Difficulty
 
 #: The (difficulty, correct) cell of each slot on axis 1 of packed counts.
 CELL_KEYS = tuple((d, c) for d in Difficulty for c in (0, 1))
@@ -48,37 +48,6 @@ class Interaction:
     kc: str
     difficulty: Difficulty
     correct: int
-
-
-@dataclass(frozen=True)
-class ObservationSet:
-    """A student's response history, grouped by concept.
-
-    counts maps node id -> {(difficulty, correct): multiplicity}; it is the
-    canonical order-free form the kernel packs.
-    """
-
-    interactions: tuple[Interaction, ...]
-    counts: dict[str, dict[tuple[Difficulty, int], int]]
-
-    def __len__(self) -> int:
-        return len(self.interactions)
-
-    def __iter__(self) -> Iterator[Interaction]:
-        return iter(self.interactions)
-
-
-def observation_set(
-    tree: ConceptTree, interactions: Iterable[Interaction]
-) -> ObservationSet:
-    interactions = tuple(interactions)
-    cell_slots(tree, interactions)  # every response is checked against the tree
-    counts: dict[str, dict[tuple[Difficulty, int], int]] = {}
-    for it in interactions:
-        node_counts = counts.setdefault(it.kc, {})
-        key = (it.difficulty, it.correct)
-        node_counts[key] = node_counts.get(key, 0) + 1
-    return ObservationSet(interactions=interactions, counts=counts)
 
 
 #: Calls with fewer counts columns than this run plan.scan where the plan
@@ -394,16 +363,6 @@ def count_cells(tree: ConceptTree, columns: Sequence[Sequence[int]]) -> np.ndarr
     return counts.reshape(v, len(CELL_KEYS), n)
 
 
-def pack_counts(
-    tree: ConceptTree, histories: Sequence[Collection[Interaction]]
-) -> np.ndarray:
-    """Response counts of each history, one column each, as [V, 6, S],
-    through the tree's slot table. A history is an ObservationSet or a
-    collection of anything with kc, difficulty and correct (see
-    cell_slots)."""
-    return count_cells(tree, [cell_slots(tree, history) for history in histories])
-
-
 @lru_cache(maxsize=None)
 def _log_rows(v: int) -> np.ndarray:
     """Where log_form takes its rows from in [log θ; log(1 - θ)] of a tree
@@ -546,41 +505,6 @@ def pool_posteriors(
                    pool if own is None else None)
 
 
-@dataclass(frozen=True, eq=False)
-class BeliefTable:
-    """One student's posteriors by node id: a read-only view of one column
-    of a kernel result of one target."""
-
-    result: BatchPosteriors
-    column: int = 0
-
-    @property
-    def log_likelihood(self) -> float:
-        return float(self.result.log_likelihood[0, self.column])
-
-    def posterior_mastery(self, node_id: str) -> float:
-        if node_id not in self.result.plan.index:
-            raise InferenceError(f"unknown KC: {node_id!r}")
-        return float(self.result.marginal[self.result.plan.index[node_id], 0, self.column])
-
-    @cached_property
-    def marginal(self) -> Mapping[str, float]:
-        values = self.result.marginal[:, 0, self.column].tolist()
-        return MappingProxyType(dict(zip(self.result.plan.order, values)))
-
-    @cached_property
-    def pairwise(self) -> Mapping[str, Mapping[tuple[int, int], float]]:
-        """(child state, parent state) -> posterior, for every non-root node:
-        (1, 1) is the parent's marginal."""
-        plan, marginal = self.result.plan, self.result.marginal[:, 0, self.column]
-        rows = zip(plan.order[1:], *self.result.pair[:, 1:, 0, self.column].tolist(),
-                   marginal[plan.parent[1:]].tolist())
-        return MappingProxyType({
-            node: MappingProxyType({(0, 0): p00, (1, 0): p10, (0, 1): 0.0, (1, 1): p11})
-            for node, p00, p10, p11 in rows
-        })
-
-
 @dataclass(frozen=True)
 class Prediction:
     question_id: str
@@ -588,40 +512,10 @@ class Prediction:
     posterior_mastery: float
 
 
-def posteriors(
-    tree: ConceptTree, params: Parameters, obs: ObservationSet
-) -> BeliefTable:
-    """Full table for one student: marginals, pairwise posteriors, and data
-    log-likelihood; one target over a pool of one column."""
-    log_theta = log_form(params.column(kernel_plan(tree).order)[:, None])
-    return BeliefTable(pool_posteriors(tree, log_theta, pack_counts(tree, [obs])))
-
-
 def blend(mastery, epsilon, phi):
     """P(correct) = (1 - m)·ε + m·φ, on floats or arrays alike."""
     return (1.0 - mastery) * epsilon + mastery * phi
 
 
-def predict(
-    params: Parameters, belief: BeliefTable, question: QuestionMeta
-) -> Prediction:
-    """Blend mastered/unmastered correctness rates with the posterior.
-    InferenceError names an unknown KC or a difficulty that is not a
-    Difficulty or its value."""
-    p1 = belief.posterior_mastery(question.kc)
-    try:
-        phi = params.phi(question.difficulty)
-    except ValueError as exc:
-        raise InferenceError(*exc.args) from None
-    return Prediction(
-        question_id=question.question_id,
-        prob_correct=blend(p1, params.epsilon, phi),
-        posterior_mastery=p1,
-    )
-
-
-def log_likelihood(
-    tree: ConceptTree, params: Parameters, obs: ObservationSet
-) -> float:
-    """Log-probability of the observed responses under the model."""
-    return posteriors(tree, params, obs).log_likelihood
+#: The per-student view's names this module serves (treekt._LAZY).
+__getattr__ = partial(_lazy_attribute, __name__)

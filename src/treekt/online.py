@@ -3,8 +3,8 @@ observe/predict, and prequential replay.
 
 A session is fitted once on pooled early interactions. Each student then
 gets a personalized parameter copy that is refreshed with a single EM
-iteration over the burn-in data plus that student's own history after every
-new response (optionally batched). Students never see each other's
+iteration over the burn-in data plus that student's own responses after
+every new response (optionally batched). Students never see each other's
 post-burn-in data. A student's parameters are a θ column [V + 4] (see em)
 kept beside its log form [2V + 12], which is built once per update and
 never per prediction.
@@ -81,16 +81,16 @@ class PredictionRecord:
 @dataclass(eq=False)
 class StudentModel:
     """A student's θ as a column [V + 4] in the order of the tree's plan,
-    with its log form [2V + 12] beside it, and the student's history. slots
-    holds the flat cell (inference.cell_slots) of each response of the
-    conditioning set, burn-in then history, the only form the kernel reads.
-    A student who has had no update shares the session's θ_init columns."""
+    with its log form [2V + 12] beside it. slots holds the flat cell
+    (inference.cell_slots) of each response of the conditioning set,
+    burn-in then each revealed response: the session's only record of the
+    student's responses. A student who has had no update shares the
+    session's θ_init columns."""
 
     student_id: str
     order: tuple[str, ...] = field(repr=False)
     theta: np.ndarray = field(repr=False)
     log_theta: np.ndarray = field(repr=False)
-    history: list[Interaction] = field(default_factory=list)
     pending: int = 0
     slots: list[int] = field(default_factory=list, repr=False)
 
@@ -142,14 +142,6 @@ class ClassroomSession:
             theta = self.theta_init.column(kernel_plan(self.tree).order)
             self._init = (self.theta_init, theta, log_form(theta[:, None])[:, 0])
         return self._init[1:]
-
-    def student_history(self, student_id: str) -> list[Interaction]:
-        """Burn-in plus post-burn-in responses; the conditioning set."""
-        history = list(self.burn_in.get(student_id, []))
-        model = self.students.get(student_id)
-        if model is not None:
-            history.extend(model.history)
-        return history
 
     def _counts(self, student_ids: Sequence[str]) -> np.ndarray:
         """The students' conditioning sets as kernel columns [V, 6, n], in
@@ -253,23 +245,22 @@ def _predict_round(
 
 
 def _reveal_round(
-    session: ClassroomSession, events: Sequence[tuple[str, Interaction]]
+    session: ClassroomSession, events: Sequence[tuple[str, Interaction | StreamRecord]]
 ) -> None:
-    """Append one response to each of distinct students' histories, then
-    run every one-step update that falls due as one em.pooled_e_step over
-    the session's pool and one M-step over the due students' θ block. Any
-    response with no kernel cell raises InferenceError before anything
-    changes."""
+    """Append one response (anything with kc, difficulty and correct) to
+    each of distinct students' slot lists, then run every one-step update
+    that falls due as one em.pooled_e_step over the session's pool and one
+    M-step over the due students' θ block. Any response with no kernel cell
+    raises InferenceError before anything changes."""
     tree, due = session.tree, []
     slots = cell_slots(tree, [interaction for _, interaction in events])
-    for (student_id, interaction), slot in zip(events, slots):
+    for (student_id, _), slot in zip(events, slots):
         model = session.students.get(student_id)
         if model is None:
             model = StudentModel(student_id, kernel_plan(tree).order,
                                  *session._init_columns(),
                                  slots=list(session._burn_in_slots.get(student_id, ())))
             session.students[student_id] = model
-        model.history.append(interaction)
         model.slots.append(slot)
         if session.update_batch is None:
             continue
@@ -291,8 +282,8 @@ def _reveal_round(
 def observe(
     session: ClassroomSession, student_id: str, interaction: Interaction
 ) -> ClassroomSession:
-    """Append a response to the student's history and refresh their model
-    with a single EM iteration over burn-in data plus their history. A
+    """Append a response to the student's slot list and refresh their model
+    with a single EM iteration over burn-in data plus their responses. A
     response with no kernel cell raises InferenceError and changes nothing."""
     _reveal_round(session, [(student_id, interaction)])
     return session
@@ -342,7 +333,7 @@ def replay(
                 actual=rec.correct,
                 seq=rec.seq,
             )
-        _reveal_round(session, [(rec.student_id, rec.interaction()) for rec in batch])
+        _reveal_round(session, [(rec.student_id, rec) for rec in batch])
     return records
 
 

@@ -15,13 +15,16 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .inference import ObservationSet
 from .model import Parameters, emission_prob, transition_prob
 from .online import StreamRecord
 from .tree import ConceptNode, ConceptTree, Difficulty, QuestionMeta
+
+if TYPE_CHECKING:
+    from .view import ObservationSet
 
 #: Largest tree the exhaustive oracle will enumerate (2^n configurations).
 ENUMERATION_LIMIT = 20

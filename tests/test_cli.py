@@ -118,6 +118,19 @@ class TestSimulate:
         written = json.loads((out / "tree.json").read_text())
         assert {n["id"] for n in written["nodes"]} == {"root", "a", "b"}
 
+    @pytest.mark.parametrize("flag, value, least", [
+        ("--students", "-1", 0), ("--interactions", "-2", 0), ("--nodes", "0", 1),
+        ("--questions-per-leaf", "0", 1),
+    ])
+    def test_bound_it_cannot_honour_exits_one_naming_the_flag(
+            self, tmp_path, capsys, flag, value, least):
+        out = tmp_path / "sim"
+        assert main(["simulate", flag, value, "--seed", "0", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {flag} {value}: must be at least {least}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
 
 class TestFitAndEval:
     def test_fit_writes_params_and_report(self, tmp_path, capsys):
@@ -290,9 +303,12 @@ class TestOracleCheck:
     ])
     def test_bound_it_cannot_honour_exits_one_before_any_instance(
             self, monkeypatch, capsys, flag, value):
+        import treekt.view
+
         def unreachable(*args):
             raise AssertionError("an instance ran")
-        monkeypatch.setattr(cli, "posteriors", unreachable)
+        # cmd_oracle_check reads posteriors from the view when it runs.
+        monkeypatch.setattr(treekt.view, "posteriors", unreachable)
         assert main(["oracle-check", flag, value, "--seed", "0"]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {flag} {value}: ")

@@ -27,6 +27,7 @@ from treekt import (
 from treekt.em import pooled_e_step
 from treekt.inference import (
     InferenceError,
+    cell_slots,
     kernel_plan,
     log_form,
     pack_counts,
@@ -341,18 +342,19 @@ class TestSessionLifecycle:
         q = bank[0]
         events += [(sid, Interaction(q.question_id, q.kc, q.difficulty, 1))
                    for sid in ("a_newcomer", "zz_newcomer", "a_newcomer")]
+        fed = {sid: list(history) for sid, history in burn_in.items()}
         for sid, interaction in events:
             model = session.students.get(sid)
             before = model.params if model is not None else session.theta_init
             observe(session, sid, interaction)
+            fed.setdefault(sid, []).append(interaction)
+            assert session.students[sid].slots == cell_slots(tree, fed[sid])
             dataset = [
                 StudentObservations(other, observation_set(tree, obs))
                 for other, obs in burn_in.items()
                 if other != sid
             ]
-            dataset.append(StudentObservations(
-                sid, observation_set(tree, session.student_history(sid))
-            ))
+            dataset.append(StudentObservations(sid, observation_set(tree, fed[sid])))
             want = one_step_update(tree, before, dataset)
             got = session.students[sid].params
             assert set(got.gamma) == set(want.gamma)
@@ -409,9 +411,11 @@ class TestSessionLifecycle:
         assert session.theta_init == theta
         for model in session.students.values():
             assert model.params == theta
-        # History still accumulates, so predictions keep personalizing.
+        # Responses still accumulate, so predictions keep personalizing.
         sid = remainder[0].student_id
-        assert len(session.student_history(sid)) > len(burn_in[sid])
+        fed = burn_in[sid] + [r for r in remainder[:10] if r.student_id == sid]
+        assert len(fed) > len(burn_in[sid])
+        assert session.students[sid].slots == cell_slots(tree, fed)
 
     def test_frozen_prediction_equals_direct_posteriors(self):
         # A frozen session packs each history on demand through the slot
@@ -422,13 +426,16 @@ class TestSessionLifecycle:
         theta = session.theta_init
         newcomer = [StreamRecord("brand_new", q.question_id, q.kc, q.difficulty, 1, i)
                     for i, q in enumerate(bank[:3])]
+        fed = {sid: list(history) for sid, history in burn_in.items()}
         for rec in remainder[:20] + newcomer:
             question = QuestionMeta(rec.question_id, rec.kc, rec.difficulty)
-            history = session.student_history(rec.student_id)
+            history = fed.setdefault(rec.student_id, [])
             direct = predict(theta, posteriors(tree, theta, observation_set(tree, history)),
                              question)
             assert predict_next(session, rec.student_id, question) == direct
             observe(session, rec.student_id, rec.interaction())
+            history.append(rec.interaction())
+            assert session.students[rec.student_id].slots == cell_slots(tree, history)
 
     def test_frozen_reads_do_no_log_work(self, monkeypatch):
         # A frozen session builds theta_init's log form once; a read of an
@@ -561,15 +568,16 @@ class TestLockStepReplay:
         remainder = [r for pair in zip(remainder, newcomer) for r in pair] \
             + remainder[len(newcomer):]
         fitted = burn_in_fit(tree, burn_in, tol=1e-4, update_batch=update_batch)
+        q = bank[-1]
+        early = Interaction(q.question_id, q.kc, q.difficulty, 1)
 
         def session():
             s = ClassroomSession(tree=tree, burn_in=burn_in,
                                  theta_init=fitted.theta_init,
                                  update_batch=update_batch)
             # Student state that exists before the replay starts.
-            q = bank[-1]
             for sid in (sorted(burn_in)[0], "a_early_newcomer"):
-                observe(s, sid, Interaction(q.question_id, q.kc, q.difficulty, 1))
+                observe(s, sid, early)
             return s
 
         lockstep, sequential = session(), session()
@@ -584,10 +592,14 @@ class TestLockStepReplay:
             (r.student_id, r.question_id, r.correct, r.seq) for r in remainder]
         for record, pred in zip(got, want):
             assert abs(record.p_correct - pred.prob_correct) <= 1e-12
-        assert set(lockstep.students) == set(sequential.students)
+        fed = {sid: burn_in.get(sid, []) + [early]
+               for sid in (sorted(burn_in)[0], "a_early_newcomer")}
+        for rec in remainder:
+            fed.setdefault(rec.student_id, list(burn_in.get(rec.student_id, []))).append(rec)
+        assert set(lockstep.students) == set(sequential.students) == set(fed)
         for sid, model in sequential.students.items():
             other = lockstep.students[sid]
-            assert len(other.history) == len(model.history)
+            assert other.slots == model.slots == cell_slots(tree, fed[sid])
             assert other.pending == model.pending
             assert_same_params(other.params, model.params)
 
@@ -653,15 +665,19 @@ class TestReadPath:
     def test_slot_list_column_equals_pack_counts(self, update_batch):
         session, bank, remainder = self.session(update_batch)
         sid = remainder[0].student_id
+        fed = {sid: list(session.burn_in[sid])}
         for rec in [r for r in remainder if r.student_id == sid][:3]:
             observe(session, sid, rec.interaction())
+            fed[sid].append(rec)
         q = bank[0]
-        observe(session, "m_new", Interaction(q.question_id, q.kc, q.difficulty, 1))
+        fed["m_new"] = [Interaction(q.question_id, q.kc, q.difficulty, 1)]
+        observe(session, "m_new", fed["m_new"][0])
         quiet = next(other for other in sorted(session.burn_in) if other != sid)
+        fed[quiet], fed["never_seen"] = session.burn_in[quiet], []
         ids = [sid, "m_new", quiet, "never_seen"]
         for sid in ids:
             counts = session._counts([sid])
-            want = pack_counts(session.tree, [session.student_history(sid)])
+            want = pack_counts(session.tree, [fed[sid]])
             assert counts.dtype == want.dtype and counts.shape == want.shape
             assert np.array_equal(counts, want)
         # One call on all four counts the same columns, in the order asked.
@@ -729,11 +745,11 @@ class TestReadPath:
             "correct": Interaction("q", q.kc, q.difficulty, 2),
             "difficulty": Interaction("q", q.kc, "weird", 1),
         }[bad]
-        before = [(m.student_id, len(m.history), m.pending)
+        before = [(m.student_id, list(m.slots), m.pending)
                   for m in hit.students.values()]
         with pytest.raises(InferenceError):
             observe(hit, sid, bad_response)
-        assert [(m.student_id, len(m.history), m.pending)
+        assert [(m.student_id, m.slots, m.pending)
                 for m in hit.students.values()] == before
         question = QuestionMeta(q.question_id, q.kc, q.difficulty)
         assert predict_next(hit, sid, question) == predict_next(clean, sid, question)

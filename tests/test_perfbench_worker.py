@@ -61,8 +61,18 @@ def test_traced_modes_record_the_kernel_and_the_counter(tmp_path):
                               "eval", "--tree", str(inputs / "tree.json"),
                               "--stream", str(inputs / "stream.jsonl"),
                               "--out", str(tmp_path / "eval"), "--burn-in", str(BURN_IN))
-    assert {"cli.main", "inference.pool_posteriors", "em.pooled_e_step"} <= names
+    # The spans perfbench/run.py layer_metrics reads: each needs its function
+    # bound in a second treekt namespace, such as the package's own.
+    assert {"cli.main", "inference.pool_posteriors", "em.pooled_e_step", "tree.load_tree",
+            "online.load_stream", "online.burn_in_fit", "em.fit", "online.replay",
+            "evaluate.metrics_report"} <= names
     assert (tmp_path / "eval" / "metrics.json").is_file()
+    names = traced_span_names(tmp_path / "fit.npz", "cli", str(tmp_path / "fit.npz"),
+                              "fit", "--tree", str(inputs / "tree.json"),
+                              "--stream", str(inputs / "stream.jsonl"),
+                              "--out", str(tmp_path / "fit"))
+    assert {"cli.main", "online.burn_in_fit", "em.fit", "em.pooled_e_step"} <= names
+    assert (tmp_path / "fit" / "params.json").is_file()
 
 
 def test_worker_modes_run_and_serve_predicts_as_a_frozen_session(tmp_path):

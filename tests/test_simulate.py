@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -103,20 +104,45 @@ class TestDerivedSeeds:
         assert derive_seed(7, "s001") == 14136917117731390160
         assert derive_seed(0, "s000") == 16809736255235744406
 
-    def test_importing_the_cli_leaves_the_simulator_and_hashlib_unloaded(self):
-        # Fitting and scoring never simulate, so the CLI imports simulate in
-        # the commands that do. hashlib loads OpenSSL; only derive_seed
-        # needs it, and imports it when called.
+    @staticmethod
+    def run_child(code: str, cwd=None) -> list[str]:
+        """Run code in a child Python that imports this checkout's treekt."""
         src = str(Path(treekt.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        done = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, treekt.cli; print('treekt.simulate' in sys.modules); "
-             "import treekt.simulate; print('hashlib' in sys.modules)"],
-            env=env, capture_output=True, text=True, timeout=60)
+        done = subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd,
+                              capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == ["False", "False"]
+        return done.stdout.split()
+
+    def test_importing_the_cli_leaves_the_simulator_and_hashlib_unloaded(self):
+        # Fitting and scoring never simulate, so the CLI imports simulate in
+        # the commands that do. hashlib loads OpenSSL; only derive_seed
+        # needs it, and imports it when called. The per-student view is
+        # loaded on first use too.
+        assert self.run_child(
+            "import sys, treekt.cli; "
+            "print('treekt.simulate' in sys.modules, 'treekt.view' in sys.modules); "
+            "import treekt.simulate; print('hashlib' in sys.modules)"
+        ) == ["False", "False", "False"]
+
+    def test_only_oracle_check_loads_the_view(self, tmp_path):
+        # simulate, fit, eval and validate-tree run the array core alone.
+        out = self.run_child(textwrap.dedent("""
+            import sys
+            from treekt.cli import main
+            inputs = ["--tree", "sim/tree.json", "--stream", "sim/stream.jsonl"]
+            for argv in (["simulate", "--nodes", "5", "--students", "4",
+                          "--interactions", "6", "--out", "sim"],
+                         ["fit", *inputs, "--out", "fit", "--max-iters", "3"],
+                         ["eval", *inputs, "--out", "eval", "--burn-in", "2", "--max-iters", "3"],
+                         ["validate-tree", "--tree", "sim/tree.json"]):
+                assert main(argv) == 0, argv
+            print("view=%s" % ("treekt.view" in sys.modules))
+            assert main(["oracle-check", "--instances", "1"]) == 0
+            print("view=%s" % ("treekt.view" in sys.modules))
+        """), cwd=tmp_path)
+        assert [word for word in out if word.startswith("view=")] == ["view=False", "view=True"]
 
     def test_package_serves_simulator_names(self):
         assert treekt.random_tree is random_tree

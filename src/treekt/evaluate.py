@@ -7,7 +7,7 @@ import csv
 import json
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .online import (
     ClassroomSession,
@@ -24,8 +24,7 @@ class MetricError(ValueError):
     """A metric is undefined on the given records."""
 
 
-@dataclass(frozen=True)
-class MetricsReport:
+class MetricsReport(NamedTuple):
     auc: float
     accuracy: float
     f1: float
@@ -33,14 +32,7 @@ class MetricsReport:
     positive_rate: float
 
     def to_json(self) -> str:
-        doc = {
-            "auc": self.auc,
-            "accuracy": self.accuracy,
-            "f1": self.f1,
-            "n_records": self.n_records,
-            "positive_rate": self.positive_rate,
-        }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        return json.dumps(self._asdict(), sort_keys=True, indent=2) + "\n"
 
     def table(self) -> str:
         rows = [
@@ -130,8 +122,7 @@ def csv_lines(records: Iterable[PredictionRecord]) -> Iterator[str]:
                                r.actual, r.seq])
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     burn_in_count: int = 10
     threshold: float = 0.5
     em_tol: float = 1e-6

@@ -18,7 +18,6 @@ a single student is one target over a pool of one column.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import chain
 from typing import Collection, NamedTuple, Sequence
@@ -40,9 +39,10 @@ class InferenceError(ValueError):
     """Raised for observations outside the tree."""
 
 
-@dataclass(frozen=True)
-class Interaction:
-    """One observed response to a question labeled with a leaf concept."""
+class Interaction(NamedTuple):
+    """One observed response to a question labeled with a leaf concept. A
+    NamedTuple: it compares, iterates and has a len as a tuple of its
+    fields."""
 
     question_id: str
     kc: str
@@ -505,8 +505,7 @@ def pool_posteriors(
                    pool if own is None else None)
 
 
-@dataclass(frozen=True)
-class Prediction:
+class Prediction(NamedTuple):
     question_id: str
     prob_correct: float
     posterior_mastery: float

@@ -116,15 +116,13 @@ class Parameters:
 
 def default_parameters(tree: ConceptTree) -> Parameters:
     """Standard initialization used before any fitting."""
-    params = Parameters(
+    return Parameters(
         gamma={node: DEFAULT_GAMMA for node in tree.nodes},
         r_easy=DEFAULT_R_EASY,
         r_med=DEFAULT_R_MED,
         r_hard=DEFAULT_R_HARD,
         epsilon=DEFAULT_EPSILON,
     )
-    assert ordering_satisfied(params), "default parameters must be ordered"
-    return params
 
 
 def ordering_satisfied(params: Parameters) -> bool:

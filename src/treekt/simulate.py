@@ -219,7 +219,10 @@ def brute_force_posteriors(
     """Exact posteriors by enumerating every hidden configuration.
 
     Independent of the message-passing implementation; used as the oracle
-    in cross-checks. Limited to small trees.
+    in cross-checks. Limited to small trees. Weights are summed in the log
+    domain, each sum kept relative to the largest weight so far (a running
+    log-sum-exp), so a history of any length or parameters at PARAM_FLOOR
+    cannot underflow every weight to 0.
     """
     node_ids = list(tree.nodes)
     if len(node_ids) > ENUMERATION_LIMIT:
@@ -233,19 +236,35 @@ def brute_force_posteriors(
         for node in node_ids
         if node != tree.root
     }
-    total = 0.0
+    # The log-probability of each observed node's responses, by its state.
+    log_evidence = {
+        node: [sum(n * math.log(emission_prob(params, difficulty, correct, state))
+                   for (difficulty, correct), n in node_counts.items())
+               for state in (0, 1)]
+        for node, node_counts in obs.counts.items()
+    }
+    total, top = 0.0, -math.inf
     for assignment in itertools.product((0, 1), repeat=len(node_ids)):
         states = dict(zip(node_ids, assignment))
-        weight = transition_prob(params, tree.root, states[tree.root], None)
-        for node in node_ids:
-            parent = tree.parent(node)
-            if parent is not None:
-                weight *= transition_prob(params, node, states[node], states[parent])
-        if weight == 0.0:
-            continue
-        for node, node_counts in obs.counts.items():
-            for (difficulty, correct), n in node_counts.items():
-                weight *= emission_prob(params, difficulty, correct, states[node]) ** n
+        transitions = [
+            transition_prob(params, node, states[node],
+                            None if node == tree.root else states[tree.parent(node)])
+            for node in node_ids
+        ]
+        if 0.0 in transitions:
+            continue  # an unmastered child of a mastered parent
+        log_weight = sum(map(math.log, transitions)) + sum(
+            evidence[states[node]] for node, evidence in log_evidence.items())
+        if log_weight > top:
+            scale = math.exp(top - log_weight)
+            total *= scale
+            for node in node_ids:
+                marginal[node] *= scale
+            for cells in pairwise.values():
+                for cell in cells:
+                    cells[cell] *= scale
+            top = log_weight
+        weight = math.exp(log_weight - top)
         total += weight
         for node in node_ids:
             if states[node] == 1:
@@ -260,5 +279,5 @@ def brute_force_posteriors(
         for node, cells in pairwise.items()
     }
     return OracleResult(
-        marginal=marginal, pairwise=pairwise, log_likelihood=math.log(total)
+        marginal=marginal, pairwise=pairwise, log_likelihood=top + math.log(total)
     )

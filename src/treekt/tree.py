@@ -14,7 +14,7 @@ import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 
 class TreeFormatError(ValueError):
@@ -32,8 +32,7 @@ class Difficulty(str, Enum):
 DEFAULT_BIN_THRESHOLDS = (0.75, 0.50)
 
 
-@dataclass(frozen=True)
-class ConceptNode:
+class ConceptNode(NamedTuple):
     id: str
     label: str
     parent: str | None
@@ -64,10 +63,7 @@ class ConceptTree:
 
     def depth(self) -> int:
         """Maximum depth in levels, counting the root as level 1."""
-        best = 0
-        for node, d in self._depths().items():
-            best = max(best, d)
-        return best
+        return max(self._depths().values())
 
     def _depths(self) -> dict[str, int]:
         depths = {self.root: 1}
@@ -92,8 +88,7 @@ class ConceptTree:
         return list(reversed(self.downward_order()))
 
 
-@dataclass(frozen=True)
-class QuestionMeta:
+class QuestionMeta(NamedTuple):
     question_id: str
     kc: str
     difficulty: Difficulty
@@ -345,14 +340,8 @@ def merge_sparse_leaves(
 
     final_remap = {n: resolve(n) for n in tree.nodes}
 
-    nodes = {}
-    for node_id in tree.nodes:
-        if node_id not in alive:
-            continue
-        old = tree.nodes[node_id]
-        nodes[node_id] = ConceptNode(
-            old.id, old.label, old.parent, tuple(children[node_id])
-        )
+    nodes = {node_id: node._replace(children=tuple(children[node_id]))
+             for node_id, node in tree.nodes.items() if node_id in alive}
     return ConceptTree(nodes=nodes, root=tree.root), final_remap
 
 

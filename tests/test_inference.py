@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -31,7 +30,7 @@ from treekt.inference import (
     _NARROW,
     _scan_rounds,
 )
-from treekt.model import emission_prob, transition_prob
+from treekt.model import PARAM_FLOOR
 from treekt.simulate import random_tree
 from treekt.tree import QuestionMeta
 
@@ -382,37 +381,6 @@ class TestDeepChains:
         assert np.all(result.marginal[child] >= result.marginal[plan.parent[child]])
 
 
-def log_enumeration(tree, params, obs):
-    """Exact posteriors of a small tree by enumerating every hidden
-    configuration in the log domain (brute_force_posteriors multiplies
-    probabilities, which underflow under thousands of responses). Returns
-    (marginals, pairwise cells, log-likelihood) like brute_force_posteriors."""
-    nodes = list(tree.nodes)
-    weights = []
-    for states in itertools.product((0, 1), repeat=len(nodes)):
-        state = dict(zip(nodes, states))
-        probs = [transition_prob(params, n, state[n],
-                                 None if n == tree.root else state[tree.parent(n)])
-                 for n in nodes]
-        if 0.0 in probs:
-            continue
-        terms = [math.log(p) for p in probs]
-        for node, node_counts in obs.counts.items():
-            for (difficulty, correct), n in node_counts.items():
-                terms.append(n * math.log(emission_prob(params, difficulty, correct,
-                                                        state[node])))
-        weights.append((state, math.fsum(terms)))
-    top = max(w for _, w in weights)
-    log_z = top + math.log(math.fsum(math.exp(w - top) for _, w in weights))
-    posterior = [(state, math.exp(w - log_z)) for state, w in weights]
-    marginal = {n: math.fsum(p for s, p in posterior if s[n]) for n in nodes}
-    pairwise = {n: {(a, b): math.fsum(p for s, p in posterior
-                                      if (s[n], s[tree.parent(n)]) == (a, b))
-                    for a in (0, 1) for b in (0, 1)}
-                for n in nodes if n != tree.root}
-    return marginal, pairwise, log_z
-
-
 class TestFarOutOfRange:
     """Thousands of responses at the deepest leaf put the messages along its
     heavy path near +-1e4, where exp of a raw message overflows. Each oracle
@@ -470,16 +438,16 @@ class TestFarOutOfRange:
         width = _NARROW if wide else len(histories)
         result = shared_posteriors(tree, params, self.packed(tree, histories, width))
         self.assert_finite(result)
-        oracles = [log_enumeration(tree, params, observation_set(tree, history))
+        oracles = [brute_force_posteriors(tree, params, observation_set(tree, history))
                    for history in histories]
         for column in range(width):
-            marginal, pairwise, log_z = oracles[column % len(histories)]
+            oracle = oracles[column % len(histories)]
             belief = BeliefTable(result, column)
-            assert abs(belief.log_likelihood - log_z) <= 1e-10
+            assert abs(belief.log_likelihood - oracle.log_likelihood) <= 1e-10
             for node in tree.nodes:
-                assert abs(belief.marginal[node] - marginal[node]) <= 1e-10
+                assert abs(belief.marginal[node] - oracle.marginal[node]) <= 1e-10
                 if node != tree.root:
-                    for cell, value in pairwise[node].items():
+                    for cell, value in oracle.pairwise[node].items():
                         assert abs(belief.pairwise[node][cell] - value) <= 1e-10
 
     @pytest.mark.parametrize("depth", [5, 101])
@@ -513,6 +481,37 @@ class TestFarOutOfRange:
                               (kernel_cells(one), kernel_cells(wide)[..., s:s + 1]),
                               (one.log_likelihood, wide.log_likelihood[:, s:s + 1])]:
                 np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
+
+
+class TestOracleAtTheEdges:
+    """The kernel against the enumeration oracle where every configuration's
+    weight underflows in the linear domain: 10^3-10^5 mixed responses, γ and
+    ε both at PARAM_FLOOR or both at 1 - PARAM_FLOOR."""
+
+    @staticmethod
+    def history(leaves, n):
+        difficulties = list(Difficulty)
+        return [Interaction(f"q{i}", leaves[i % len(leaves)], difficulties[i % 3], i % 2)
+                for i in range(n)]
+
+    @pytest.mark.parametrize("layout", ["one leaf", "every leaf"])
+    @pytest.mark.parametrize("edge", [PARAM_FLOOR, 1 - PARAM_FLOOR])
+    @pytest.mark.parametrize("n", [1_000, 10_000, 100_000])
+    def test_kernel_matches_the_oracle(self, n, edge, layout):
+        tree = random_tree(np.random.default_rng(n), 7)
+        leaves = tree.leaves()[-1:] if layout == "one leaf" else tree.leaves()
+        params = Parameters(gamma=dict.fromkeys(tree.nodes, edge), r_easy=0.9, r_med=0.8,
+                            r_hard=0.75, epsilon=edge)
+        obs = observation_set(tree, self.history(leaves, n))
+        belief = posteriors(tree, params, obs)
+        oracle = brute_force_posteriors(tree, params, obs)
+        assert abs(belief.log_likelihood - oracle.log_likelihood) <= (
+            1e-12 * abs(oracle.log_likelihood))
+        for node in tree.nodes:
+            assert abs(belief.marginal[node] - oracle.marginal[node]) <= 1e-10
+            if node != tree.root:
+                for cell, value in oracle.pairwise[node].items():
+                    assert abs(belief.pairwise[node][cell] - value) <= 1e-10
 
 
 class TestUpwardSchedule:

@@ -109,6 +109,10 @@ class TestOrdering:
         assert not ordering_satisfied(make_params(epsilon=0.76))
         assert not ordering_satisfied(make_params(r_hard=0.85))
 
+    def test_defaults_are_ordered(self):
+        assert DEFAULT_EPSILON < DEFAULT_R_HARD < DEFAULT_R_MED < DEFAULT_R_EASY
+        assert ordering_satisfied(default_parameters(chain_tree(3)))
+
 
 class TestClamp:
     def test_floor_and_ceiling(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -7,9 +8,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from treekt import (
     ClassroomSession,
+    ConceptNode,
     Difficulty,
+    ExperimentConfig,
     Interaction,
+    MetricsReport,
     Parameters,
+    Prediction,
     PredictionRecord,
     StreamRecord,
     StudentObservations,
@@ -103,6 +108,42 @@ class TestStreamIO:
                 value = first.setdefault(getattr(rec, key), getattr(rec, key))
                 assert getattr(rec, key) is value
             assert len(first) < len(records)
+
+
+#: Each value class, with a value of each of its fields.
+VALUE_CLASSES = [
+    (Interaction, dict(question_id="q1", kc="a", difficulty=Difficulty.EASY, correct=1)),
+    (Prediction, dict(question_id="q1", prob_correct=0.7, posterior_mastery=0.6)),
+    (PredictionRecord, dict(student_id="s1", question_id="q1", p_correct=0.7, actual=1,
+                            seq=3)),
+    (QuestionMeta, dict(question_id="q1", kc="a", difficulty=Difficulty.HARD,
+                        solve_rate=0.4)),
+    (ConceptNode, dict(id="a", label="A", parent="root", children=("b",))),
+    (MetricsReport, dict(auc=0.7, accuracy=0.6, f1=0.5, n_records=10, positive_rate=0.4)),
+    (ExperimentConfig, dict(burn_in_count=5, threshold=0.4, em_tol=1e-5, em_max_iters=20)),
+    (StreamRecord, dict(student_id="s1", question_id="q1", kc="a",
+                        difficulty=Difficulty.MEDIUM, correct=0, seq=2)),
+]
+
+
+@pytest.mark.parametrize("cls, fields", VALUE_CLASSES,
+                         ids=[cls.__name__ for cls, _ in VALUE_CLASSES])
+def test_value_class_contract(cls, fields):
+    value = cls(**fields)
+    assert {key: getattr(value, key) for key in fields} == fields
+    assert value == cls(*fields.values())
+    first = next(iter(fields))
+    assert value != cls(**{**fields, first: "other"})
+    if cls is StreamRecord:
+        # A slotted dataclass: replace and interaction work, hash does not.
+        assert dataclasses.replace(value, correct=1) == cls(**{**fields, "correct": 1})
+        assert value.interaction() == Interaction("q1", "a", Difficulty.MEDIUM, 0)
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(value)
+    else:
+        # A NamedTuple: a tuple of its fields, which also hashes.
+        assert tuple(value) == tuple(fields.values()) and len(value) == len(fields)
+        assert hash(value) == hash(cls(**fields))
 
 
 def reference_parse_stream(document: str, source: str = "<stream>"):
@@ -259,6 +300,47 @@ class TestParserAgainstReference:
         path.write_bytes(first + b"[]")
         with pytest.raises(StreamFormatError, match=":3: bad stream record on line 3: "):
             load_stream(str(path))
+
+
+    #: One bad line of each kind, or two that are bad together, for the
+    #: end of a long document; student s0's last valid seq is below 10**6.
+    GOOD = {"student_id": "s0", "question_id": "q1", "kc_id": "a",
+            "difficulty": "easy", "correct": 1, "seq": 10**6}
+    HALF = '{"student_id": "s0", "question_id": "q1", "kc_id": "a", "extra": [[1'
+    DEEP_BAD_LINES = {
+        "wrong type": [json.dumps({**GOOD, "question_id": 7})],
+        "bool": [json.dumps({**GOOD, "correct": True})],
+        "correct 2": [json.dumps({**GOOD, "correct": 2})],
+        "unknown difficulty": [json.dumps({**GOOD, "difficulty": "weird"})],
+        "missing key": [json.dumps({k: v for k, v in GOOD.items() if k != "kc_id"})],
+        "seq order": [json.dumps({**GOOD, "seq": 0})],
+        "two objects": [json.dumps(GOOD) + " " + json.dumps(GOOD)],
+        "two values": [json.dumps(GOOD) + ", " + json.dumps(GOOD)],
+        "split object": [json.dumps(GOOD)[:40], json.dumps(GOOD)[40:]],
+        # Two lines that are one value, beside one line of more values, so
+        # that a chunk can hold as many values as lines.
+        "split object, two values": [json.dumps(GOOD)[:-1], '"x": 1}',
+                                     json.dumps(GOOD) + ", " + json.dumps(GOOD)],
+        "split array, three values": [HALF, '2]], "difficulty": "easy", "correct": 1, '
+                                      '"seq": 1000000}',
+                                      json.dumps(GOOD) + ", 0, " + json.dumps(GOOD)],
+    }
+
+    @staticmethod
+    def valid_lines(n, start=0):
+        return [json.dumps({"student_id": f"s{i % 40}", "question_id": f"q{i % 7}",
+                            "kc_id": "ab"[i % 2], "difficulty": list(Difficulty)[i % 3].value,
+                            "correct": i % 2, "seq": i}) for i in range(start, start + n)]
+
+    @pytest.mark.parametrize("n_valid", [1000, 1099])
+    @pytest.mark.parametrize("kind", DEEP_BAD_LINES)
+    def test_bad_line_deep_in_a_document(self, kind, n_valid):
+        lines = [*self.valid_lines(n_valid), *self.DEEP_BAD_LINES[kind],
+                 *self.valid_lines(20, start=2 * 10**6)]
+        document = "\n".join(lines)
+        got = outcome(parse_stream, document)
+        assert got == outcome(reference_parse_stream, document)
+        assert got[1].startswith(f"s.jsonl:{n_valid + 1}: ")
 
 
 class TestSplitBurnIn:

@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -26,9 +28,10 @@ from treekt.simulate import (
     random_question_bank,
     random_tree,
 )
+from treekt.model import emission_prob, transition_prob
 from treekt.tree import QuestionMeta, validate_tree
 
-from conftest import chain_tree, random_parameters, star_tree
+from conftest import chain_tree, random_instance, random_parameters, star_tree
 
 
 class TestSimConfig:
@@ -239,6 +242,32 @@ class TestRandomGenerators:
         assert {q.kc for q in bank} == set(tree.leaves())
 
 
+def linear_enumeration(tree, params, obs):
+    """The enumeration oracle as products of probabilities, summed in the
+    linear domain: (marginals, pairwise cells, log-likelihood). Every
+    weight underflows to 0 on long histories."""
+    nodes = list(tree.nodes)
+    weights = []
+    for states in itertools.product((0, 1), repeat=len(nodes)):
+        state = dict(zip(nodes, states))
+        weight = 1.0
+        for node in nodes:
+            parent = tree.parent(node)
+            weight *= transition_prob(params, node, state[node],
+                                      None if parent is None else state[parent])
+        for node, node_counts in obs.counts.items():
+            for (difficulty, correct), n in node_counts.items():
+                weight *= emission_prob(params, difficulty, correct, state[node]) ** n
+        weights.append((state, weight))
+    total = sum(w for _, w in weights)
+    marginal = {n: sum(w for s, w in weights if s[n]) / total for n in nodes}
+    pairwise = {n: {(a, b): sum(w for s, w in weights
+                                if (s[n], s[tree.parent(n)]) == (a, b)) / total
+                    for a in (0, 1) for b in (0, 1)}
+                for n in nodes if n != tree.root}
+    return marginal, pairwise, math.log(total)
+
+
 class TestBruteForceOracle:
     def test_size_limit(self):
         rng = np.random.default_rng(9)
@@ -262,6 +291,18 @@ class TestBruteForceOracle:
         assert result.marginal["n0"] == pytest.approx(p0, abs=1e-12)
         assert result.marginal["n1"] == pytest.approx(p1, abs=1e-12)
         assert result.marginal["n2"] == pytest.approx(p2, abs=1e-12)
+
+    def test_agrees_with_the_linear_domain_where_it_does_not_underflow(self):
+        rng = np.random.default_rng(12)
+        for _ in range(40):
+            tree, params, obs = random_instance(rng, max_nodes=8)
+            marginal, pairwise, log_z = linear_enumeration(tree, params, obs)
+            result = brute_force_posteriors(tree, params, obs)
+            assert abs(result.log_likelihood - log_z) <= 1e-12 * max(1.0, abs(log_z))
+            for node in tree.nodes:
+                assert abs(result.marginal[node] - marginal[node]) <= 1e-12
+                for cell, value in pairwise.get(node, {}).items():
+                    assert abs(result.pairwise[node][cell] - value) <= 1e-12
 
     def test_entailment_cell_is_zero(self):
         tree = chain_tree(2)

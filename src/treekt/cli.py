@@ -37,35 +37,19 @@ from .online import serialize_stream
 
 ENV_PREFIX = "TREEKT_"
 
-_DEFAULTS = {
-    "burn_in": 10,
-    "tol": 1e-6,
-    "max_iters": 100,
-    "seed": 0,
-    "threshold": 0.5,
+#: Each layered option's type and default.
+_OPTIONS = {
+    "burn_in": (int, 10),
+    "tol": (float, 1e-6),
+    "max_iters": (int, 100),
+    "seed": (int, 0),
+    "threshold": (float, 0.5),
 }
 
 
 class OptionError(ValueError):
     """A --config line or TREEKT_* variable holds a value that cannot be
     read; the message names the key and where it came from."""
-
-
-def _layered_value(name: str, flag_value, config: dict, config_path, caster):
-    """flags > config file > environment > defaults."""
-    if flag_value is not None:
-        return flag_value
-    env_name = ENV_PREFIX + name.upper()
-    if name in config:
-        raw, source = config[name], f"{config_path}: {name}"
-    elif env_name in os.environ:
-        raw, source = os.environ[env_name], env_name
-    else:
-        return _DEFAULTS[name]
-    try:
-        return caster(raw)
-    except ValueError as exc:
-        raise OptionError(f"{source}: {exc}") from None
 
 
 def _read_config(path: str | None) -> dict:
@@ -86,23 +70,30 @@ def _read_config(path: str | None) -> dict:
         key, eq, value = (part.strip() for part in line.partition("="))
         if not eq:
             raise OptionError(f"{path}: line {i}: expected key = value, got {line!r}")
-        if key not in _DEFAULTS and key != "threads":
+        if key not in _OPTIONS and key != "threads":
             raise OptionError(f"{path}: line {i}: unknown key {key!r}")
         config[key] = value
     return config
 
 
 def _resolve(args: argparse.Namespace) -> argparse.Namespace:
+    """The command's layered options: flags > config file > environment >
+    defaults."""
     config_path = getattr(args, "config", None)
     config = _read_config(config_path)
-    casters = {
-        "burn_in": int, "tol": float, "max_iters": int, "seed": int,
-        "threshold": float,
-    }
-    for name, caster in casters.items():
-        if hasattr(args, name):
-            setattr(args, name, _layered_value(name, getattr(args, name), config,
-                                               config_path, caster))
+    for name, (kind, default) in _OPTIONS.items():
+        if getattr(args, name, 0) is not None:  # not the command's, or a flag
+            continue
+        env_name = ENV_PREFIX + name.upper()
+        raw, source = default, None
+        if name in config:
+            raw, source = config[name], f"{config_path}: {name}"
+        elif env_name in os.environ:
+            raw, source = os.environ[env_name], env_name
+        try:
+            setattr(args, name, kind(raw))
+        except ValueError as exc:
+            raise OptionError(f"{source}: {exc}") from None
     # Refuse values no run can honour before any work.
     if getattr(args, "max_iters", 1) < 1:
         raise ValueError(f"--max-iters {args.max_iters}: EM needs at least one iteration")
@@ -125,7 +116,8 @@ def cmd_validate_tree(args) -> int:
     try:
         tree = load_tree(args.tree)
     except TreeFormatError as exc:
-        if isinstance(exc.__cause__, (json.JSONDecodeError, UnicodeDecodeError)):
+        if isinstance(exc.__cause__, (json.JSONDecodeError, UnicodeDecodeError,
+                                      RecursionError)):
             raise  # unparseable document is an environment failure
         print(f"violation: {exc}")
         return 1

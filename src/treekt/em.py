@@ -7,8 +7,9 @@ their log form. The E-step (pooled_e_step) runs T targets, each at its own
 θ, over one shared pool of packed counts: one kernel pass over [V, T, S]
 columns per inference.targets_per_call targets, and count-weighted sums
 that contract the pool with the posteriors once for all targets. A target
-may put its own history in place of one pool column, or add it to the pool
-as one more column, as replay's one-step updates do. The M-step turns the
+may put its own history in place of one pool column, as replay's one-step
+updates do; a caller whose target has no pool column gives it one, empty,
+by widening the pool (online._reveal_round). The M-step turns the
 accumulator arrays into a new θ block by simple ratios, in numpy
 expressions over the block. Every update keeps the guessing probability
 capped and all probabilities strictly inside (0,1), which preserves the EM
@@ -61,16 +62,17 @@ class Accumulators(NamedTuple):
     unmastered and mastered [T, 6] weight each CELL_KEYS cell's counts by
     P(node unmastered) and P(node mastered); pair [2, V, T] sums the
     (child, parent) cells (0, 0) and (1, 0) per node; root [T] sums the
-    root's mastery marginal; n_students counts each target's students (one
-    number, or [T]). ll [T], the data log-likelihood, is summed where the
-    dataset is the pool itself (a fit); an update never reads it.
+    root's mastery marginal; n_students counts the students of every
+    target's dataset, the pool's columns. ll [T], the data log-likelihood,
+    is summed where the dataset is the pool itself (a fit); an update never
+    reads it.
     """
 
     unmastered: np.ndarray
     mastered: np.ndarray
     pair: np.ndarray
     root: np.ndarray
-    n_students: int | np.ndarray
+    n_students: int
     ll: np.ndarray | None = None
 
 
@@ -83,53 +85,37 @@ def pooled_e_step(
     inference.log_form), by inference.pool_posteriors.
 
     Without own, every target's dataset is the pool. With own = (at [T],
-    counts [V, 6, T]), target t's dataset is the pool with column at[t]
-    replaced by the target's own counts column, or joined by it where
-    at[t] = S. The count-weighted sums are contractions of the pool with
-    the posteriors, minus each replaced column's term, plus the target's
-    own. Targets go through the kernel inference.targets_per_call at a
-    time.
+    counts [V, 6, T]), target t's dataset is the pool with column at[t] < S
+    replaced by the target's own counts column. The count-weighted sums are
+    contractions of the pool with the posteriors, minus each replaced
+    column's term, plus the target's own. Targets go through the kernel
+    inference.targets_per_call at a time.
     """
     n_nodes, n_cells, n_columns = pool.shape
     n_targets = log_theta.shape[1]
     unmastered, mastered = np.empty((2, n_targets, n_cells))
     pair, root = np.empty((2, n_nodes, n_targets)), np.empty(n_targets)
-    ll = None
-    if own is None:
-        n_students, ll = n_columns, np.empty(n_targets)
-    else:
-        at, counts = own
-        joined = at == n_columns
-        n_students = n_columns + joined
-
-    def column_sum(x: np.ndarray, c: slice) -> np.ndarray:
-        """x [..., targets c, S or S + 1] summed over each target's columns."""
-        if x.shape[-1] == n_columns:
-            return x.sum(axis=-1)
-        return x[..., :n_columns].sum(axis=-1) + x[..., n_columns] * joined[c]
-
+    ll = np.empty(n_targets) if own is None else None
     step = targets_per_call(n_nodes * n_columns)
     for a in range(0, n_targets, step):
         c = slice(a, a + step)
-        part = None if own is None else (at[c], counts[:, :, c])
+        part = None if own is None else (own[0][c], own[1][:, :, c])
         post = pool_posteriors(tree, log_theta[:, c], pool, part)
         cells, marginal = post.pair, post.marginal
-        u = np.matmul(pool, cells[0][..., :n_columns].transpose(0, 2, 1)).sum(axis=0)
-        m = np.matmul(pool, marginal[..., :n_columns].transpose(0, 2, 1)).sum(axis=0)
+        u = np.matmul(pool, cells[0].transpose(0, 2, 1)).sum(axis=0)
+        m = np.matmul(pool, marginal.transpose(0, 2, 1)).sum(axis=0)
         if own is not None:
             t, j = np.arange(len(part[0])), part[0]
-            delta = part[1].copy()
-            member = j < n_columns
-            delta[:, :, member] -= pool[:, :, j[member]]
+            delta = part[1] - pool[:, :, j]
             u += np.einsum("vkt,vt->kt", delta, cells[0][:, t, j])
             m += np.einsum("vkt,vt->kt", delta, marginal[:, t, j])
         unmastered[c], mastered[c] = u.T, m.T
-        pair[:, :, c] = column_sum(cells, c)
-        root[c] = column_sum(marginal[0], c)
+        pair[:, :, c] = cells.sum(axis=-1)
+        root[c] = marginal[0].sum(axis=-1)
         if ll is not None:
-            ll[c] = column_sum(post.log_likelihood, c)
+            ll[c] = post.log_likelihood.sum(axis=-1)
         del post, cells, marginal  # before the next call's arrays are made
-    return Accumulators(unmastered, mastered, pair, root, n_students, ll)
+    return Accumulators(unmastered, mastered, pair, root, n_columns, ll)
 
 
 #: The rows of the θ block after γ, as they are named in errors.
@@ -147,7 +133,7 @@ def batch_m_step(acc: Accumulators, prev: np.ndarray) -> np.ndarray:
     the likelihood monotone). The root has no pairwise cell; its γ is the
     mean root marginal. ParameterError names a result outside (0, 1).
     """
-    if not np.all(acc.n_students):
+    if not acc.n_students:
         raise ValueError("m_step requires statistics from a non-empty dataset")
     v, n_targets = len(prev) - 4, prev.shape[1]
     # Rows as in θ, numerators then denominators: the root's mean marginal

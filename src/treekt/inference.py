@@ -13,8 +13,9 @@ in log form, built from θ columns by log_form with one np.log and one
 np.log1p. pool_posteriors is the kernel's one entry: T targets, each at
 its own θ column, over one shared pool of S columns, as [V, T, S]. One θ
 shared by many students is one target over a pool of their columns;
-students at their own θ are targets whose own columns join an empty pool;
-a single student is one target over a pool of one column.
+students at their own θ are targets whose own columns replace the one
+column of an empty pool; a single student is one target over a pool of
+one column.
 """
 from __future__ import annotations
 
@@ -488,17 +489,14 @@ def pool_posteriors(
     by the node's [6, S] counts.
 
     own = (at [T], counts [V, 6, T]) gives each target its own counts
-    column, by einsum: it replaces the target's pool column at[t], or, where
-    at[t] = S, joins the pool as one more column, which the other targets
-    see empty; a call with such a target gives [V, T, S + 1]. A result with
-    own columns has no log_likelihood."""
+    column, by einsum: it replaces the target's pool column at[t] < S, so a
+    result is [V, T, S] either way. A result with own columns has no
+    log_likelihood."""
     plan = kernel_plan(tree)
     log_gamma, log1m_gamma, log_e1, log_ratio = _log_parts(log_theta)
     shifted = np.matmul(log_ratio.T, pool)
     if own is not None:
         at, counts = own
-        if at.max() == pool.shape[2]:
-            shifted = np.concatenate((shifted, np.zeros((*shifted.shape[:2], 1))), axis=2)
         shifted[:, np.arange(len(at)), at] = np.einsum("vkt,kt->vt", counts, log_ratio)
     shifted += log1m_gamma[:, :, None]
     return _passes(plan, log_gamma[:, :, None], shifted, log_e1[:, :, None],

@@ -16,11 +16,12 @@ a chunk at one θ is one target over the chunk's columns, else each student
 is a target over its own column alone), then reveals one response per
 student and runs every update that falls due as one em.pooled_e_step over
 the session's pool, [V, 6, S]: the burn-in students in id order. A
-target's history stands in its own pool column, or, for a newcomer, joins
-the pool as one more column; nothing copies the pool. The due students' θ
-columns go through the E-step, one M-step and one log form as [·, T]
-blocks. inference.targets_per_call sizes every kernel call. replay runs
-the stream as rounds. Every call counts its columns from the slot lists of
+target's history replaces its own pool column; nothing copies the pool.
+Due newcomers, students with no burn-in, run as a second E-step over the
+pool widened by one empty column. Each group's θ columns go through the
+E-step, one M-step and one log form as [·, T] blocks.
+inference.targets_per_call sizes every kernel call. replay runs the
+stream as rounds. Every call counts its columns from the slot lists of
 the students' conditioning sets, in frozen and updating sessions alike;
 predict_next is one kernel call on one student's column; observe is a
 round of one student, which checks the response before it changes
@@ -235,9 +236,9 @@ def _predict_round(
             theta, columns = thetas[0][:, None], 0
             post = pool_posteriors(session.tree, logs[0][:, None], counts)
         else:
-            # A target per student, whose own column joins an empty pool.
+            # A target per student, whose own column replaces the one column of an empty pool.
             theta, columns = _block(thetas), np.arange(len(chunk))
-            post = pool_posteriors(session.tree, _block(logs), counts[:, :, :0],
+            post = pool_posteriors(session.tree, _block(logs), np.zeros_like(counts[:, :, :1]),
                                    (np.zeros(len(chunk), dtype=np.intp), counts))
         p1 = post.marginal.reshape(len(plan.order), -1)[nodes[a:a + size],
                                                        np.arange(len(chunk))]
@@ -250,9 +251,10 @@ def _reveal_round(
 ) -> None:
     """Append one response (anything with kc, difficulty and correct) to
     each of distinct students' slot lists, then run every one-step update
-    that falls due as one em.pooled_e_step over the session's pool and one
-    M-step over the due students' θ block. Any response with no kernel cell
-    raises InferenceError before anything changes."""
+    that falls due: one em.pooled_e_step over the session's pool for the
+    due pool members, one for the due newcomers, and an M-step over each
+    group's θ block. Any response with no kernel cell raises InferenceError
+    before anything changes."""
     tree, due = session.tree, []
     slots = cell_slots(tree, [interaction for _, interaction in events])
     for (student_id, _), slot in zip(events, slots):
@@ -270,14 +272,18 @@ def _reveal_round(
             due.append(model)
     if not due:
         return
-    # A newcomer's history joins the pool as one more column.
-    joins = len(session.pool_columns)
-    at = np.array([session.pool_columns.get(m.student_id, joins) for m in due])
-    own = session._counts([m.student_id for m in due])
-    acc = pooled_e_step(tree, _block([m.log_theta for m in due]), session.pool, (at, own))
-    theta = batch_m_step(acc, _block([m.theta for m in due]))
-    for model, column, log_column in zip(due, theta.T, log_form(theta).T):
-        model.theta, model.log_theta, model.pending = column, log_column, 0
+    pool, columns = session.pool, session.pool_columns
+    members = [m for m in due if m.student_id in columns]
+    newcomers = [m for m in due if m.student_id not in columns]
+    for group in filter(None, (members, newcomers)):
+        if group is newcomers:  # each history replaces the one empty column added
+            pool = np.concatenate((pool, np.zeros_like(pool[:, :, :1])), axis=2)
+        at = np.array([columns.get(m.student_id, len(columns)) for m in group])
+        own = session._counts([m.student_id for m in group])
+        acc = pooled_e_step(tree, _block([m.log_theta for m in group]), pool, (at, own))
+        theta = batch_m_step(acc, _block([m.theta for m in group]))
+        for model, column, log_column in zip(group, theta.T, log_form(theta).T):
+            model.theta, model.log_theta, model.pending = column, log_column, 0
 
 
 def observe(
@@ -428,7 +434,7 @@ def parse_stream(
     for i in numbers:
         try:
             record = _stream_record(next(values), share)
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, RecursionError) as exc:
             detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
             raise StreamFormatError(
                 f"{source}:{i}: bad stream record on line {i}: {detail}") from exc

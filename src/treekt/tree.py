@@ -11,9 +11,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import accumulate
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 
@@ -159,6 +161,11 @@ def parse_tree(document: str) -> ConceptTree:
         data = json.loads(document)
     except json.JSONDecodeError as exc:
         raise TreeFormatError(f"malformed tree document: {exc}") from exc
+    except RecursionError as exc:  # json names no line: give the deepest bracket's
+        text = re.sub(r'"(?:[^"\\\n]|\\.)*"', "0", document)  # strings hold no newline
+        depth = [*accumulate((c in "[{") - (c in "]}") for c in text)]
+        line = text.count("\n", 0, depth.index(max(depth))) + 1
+        raise TreeFormatError(f"malformed tree document: too deep on line {line}") from exc
     if not isinstance(data, dict) or not isinstance(data.get("nodes"), list):
         raise TreeFormatError('tree document must be {"nodes": [...]}')
     entries = []
@@ -446,7 +453,7 @@ def _read_records(document: str) -> list[tuple[int, dict]]:
                 continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise TreeFormatError(f"bad JSON on line {i}: {exc}") from exc
             if not isinstance(record, dict):
                 raise TreeFormatError(f"line {i}: a question record must be an object")

@@ -137,12 +137,8 @@ class StudentObservations:
     obs: ObservationSet
 
 
-def pack_dataset(
-    tree: ConceptTree, dataset: Sequence[StudentObservations] | np.ndarray
-) -> np.ndarray:
+def pack_dataset(tree: ConceptTree, dataset: Sequence[StudentObservations]) -> np.ndarray:
     """Kernel counts [V, 6, S], a column per student in student-id order."""
-    if isinstance(dataset, np.ndarray):
-        return dataset
     ordered = sorted(dataset, key=lambda s: s.student_id)
     return pack_counts(tree, [s.obs for s in ordered])
 
@@ -174,14 +170,13 @@ class SufficientStats:
 def e_step(
     tree: ConceptTree,
     params: Parameters,
-    dataset: Sequence[StudentObservations] | np.ndarray,
+    dataset: Sequence[StudentObservations],
 ) -> tuple[SufficientStats, float]:
     """Accumulate sufficient statistics; also returns the total data
     log-likelihood at the current parameters (a free by-product).
 
-    The dataset may come packed (see pack_dataset). This is
-    em.pooled_e_step with one target, over the students in student-id
-    order, so the order of the dataset does not matter.
+    This is em.pooled_e_step with one target, over the students in
+    student-id order, so the order of the dataset does not matter.
     """
     order, theta = _theta(tree, params)
     acc = pooled_e_step(tree, log_form(theta), pack_dataset(tree, dataset))
@@ -223,7 +218,7 @@ def m_step(stats: SufficientStats, prev: Parameters) -> Parameters:
 def one_step_update(
     tree: ConceptTree,
     params: Parameters,
-    dataset: Sequence[StudentObservations] | np.ndarray,
+    dataset: Sequence[StudentObservations],
 ) -> Parameters:
     """Exactly one EM iteration, as em.fit runs it; never decreases the
     dataset likelihood. An empty dataset is rejected by the M-step."""

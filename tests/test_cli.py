@@ -240,6 +240,29 @@ class TestFitAndEval:
         assert f"{stream}:3:" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command, bad", [
+        ("fit", "stream"), ("fit", "tree"), ("validate-tree", "tree")])
+    def test_deeply_nested_json_exits_two(self, tmp_path, capsys, command, bad):
+        # json gives up on 100 000 nested brackets with a RecursionError.
+        sim = simulate_into(tmp_path)
+        files = {"tree": sim / "tree.json", "stream": sim / "stream.jsonl"}
+        lines = files[bad].read_text().splitlines()
+        lines[2] = "[" * 100_000
+        path = tmp_path / f"deep_{files[bad].name}"
+        path.write_text("\n".join(lines) + "\n")
+        files[bad] = path
+        args = [command, "--tree", str(files["tree"])]
+        if command == "fit":
+            args += ["--stream", str(files["stream"]), "--out", str(tmp_path / "out")]
+        code = main(args)
+        captured = capsys.readouterr()
+        assert code == 2
+        where = (f"{path}:3: bad stream record on line 3: " if bad == "stream"
+                 else f"{path}: malformed tree document: too deep on line 3")
+        assert captured.err.startswith(f"error: {where}"), captured.err
+        assert "violation" not in captured.out
+        assert "Traceback" not in captured.err
+
     def test_eval_deterministic_across_thread_counts(self, tmp_path):
         sim = simulate_into(tmp_path)
         outputs = []

@@ -27,6 +27,7 @@ from treekt import (
     predict,
     predict_next,
     replay,
+    run_experiment,
     split_burn_in,
 )
 from treekt.em import pooled_e_step
@@ -892,19 +893,23 @@ class TestPooledEStep:
         members = rng.choice(n_students, 3, replace=False)
         inserted = rng.integers(0, n_students + 1, 3)
         # Targets 0-2 replace their pool column; 3-5 are newcomers, whose
-        # history the old slabs inserted in id order and the pool appends.
-        at = np.concatenate([members, [n_students] * 3])
-        acc = pooled_e_step(tree, log_theta, pool, (at, own))
+        # history the old slabs inserted in id order, and which replace the
+        # empty last column of the pool widened by one, as replay runs them.
+        acc = pooled_e_step(tree, log_theta[:, :3], pool, (members, own[:, :, :3]))
         assert acc.ll is None
+        widened = np.concatenate((pool, np.zeros_like(pool[:, :, :1])), axis=2)
+        acc_new = pooled_e_step(tree, log_theta[:, 3:], widened,
+                                (np.full(3, n_students), own[:, :, 3:]))
+        assert acc_new.ll is None
 
         slab = np.repeat(pool[:, :, None, :], 3, axis=2)
         slab[:, :, np.arange(3), members] = own[:, :, :3]
         want = slab_e_step(tree, log_theta[:, :3], slab)
-        self.assert_close(acc, want, slice(0, 3), n_students)
+        self.assert_close(acc, want, slice(None), n_students)
         slab = np.stack([np.insert(pool, j, own[:, :, 3 + t], axis=2)
                          for t, j in enumerate(inserted)], axis=2)
         want_new = slab_e_step(tree, log_theta[:, 3:], slab)
-        self.assert_close(acc, want_new, slice(3, 6), n_students + 1)
+        self.assert_close(acc_new, want_new, slice(None), n_students + 1)
 
     def test_member_updates_run_only_the_pool_columns(self, monkeypatch):
         import treekt.em
@@ -920,6 +925,26 @@ class TestPooledEStep:
         _, tree, pool, own, log_theta = self.setup("random", 35)
         pooled_e_step(tree, log_theta, pool, (np.array([0, 3, 8, 2, 5, 1]), own))
         assert widths and set(widths) == {pool.shape[2]}
+
+    def test_an_experiment_runs_every_e_step_over_the_session_pool(self, monkeypatch):
+        # Every replayed student has burn-in, so no update widens the pool:
+        # the fit and every one-step update read session.pool itself.
+        import treekt.em
+        import treekt.online
+
+        calls = []
+
+        def recorded(tree, log_theta, pool, own=None):
+            calls.append((pool, own))
+            return pooled_e_step(tree, log_theta, pool, own)
+
+        monkeypatch.setattr(treekt.em, "pooled_e_step", recorded)
+        monkeypatch.setattr(treekt.online, "pooled_e_step", recorded)
+        tree, _, stream = small_classroom(seed=16, n_students=8)
+        session = run_experiment(tree, stream, ExperimentConfig(burn_in_count=3)).session
+        assert session.pool.shape[2] == len(session.burn_in) == 8
+        assert any(own is not None for _, own in calls)
+        assert all(pool is session.pool for pool, _ in calls)
 
     @pytest.mark.parametrize("shape, seed", [("random", 33), ("caterpillar", 34)])
     def test_without_own_columns_every_target_sees_the_pool(self, shape, seed):

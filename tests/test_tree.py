@@ -121,6 +121,16 @@ class TestTreeFileErrors:
         assert isinstance(exc.value.__cause__, UnicodeDecodeError)
 
 
+    def test_deep_nesting_names_the_deepest_line(self, tmp_path):
+        # Brackets inside a string do not count; json itself names no line.
+        path = tmp_path / "tree.json"
+        path.write_text('{"nodes": [{"id": "A", "label": "[[[["},\n'
+                        '  {"id": "B", "parent": "A"}],\n "x": ' + "[" * 100_000 + "\n")
+        with pytest.raises(TreeFormatError) as exc:
+            load_tree(str(path))
+        assert str(exc.value) == f"{path}: malformed tree document: too deep on line 3"
+        assert isinstance(exc.value.__cause__, RecursionError)
+
 class TestValidateTree:
     def test_single_node_valid(self):
         assert validate_tree(single_node_tree()).valid
@@ -343,6 +353,14 @@ class TestQuestionFileErrors:
         with pytest.raises(TreeFormatError, match="line 3: question record has no kc_id"):
             load_questions(str(path), self.TREE)
 
+
+    def test_deeply_nested_line_names_the_path_and_line(self, tmp_path):
+        path = tmp_path / "questions.jsonl"
+        path.write_text(self.FIRST + "[" * 100_000 + "\n", encoding="utf-8")
+        with pytest.raises(TreeFormatError) as exc:
+            load_questions(str(path), self.TREE)
+        assert str(exc.value).startswith(f"{path}: bad JSON on line 3: ")
+        assert isinstance(exc.value.__cause__, RecursionError)
 
 QUESTION_FIELDS = ["question_id", "kc_id", "solve_rate", "difficulty"]
 QUESTION_RECORDS = [

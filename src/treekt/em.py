@@ -21,7 +21,6 @@ one_step_update) lives in treekt.view, and this module serves it too.
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING, NamedTuple, Sequence
@@ -36,8 +35,6 @@ from .tree import ConceptTree
 if TYPE_CHECKING:
     from .view import StudentObservations
 
-logger = logging.getLogger(__name__)
-
 
 @dataclass
 class FitReport:
@@ -45,6 +42,7 @@ class FitReport:
     log_likelihood_trace: list[float]
     iterations: int
     converged: bool
+    ordering_breaks: list[int]  # M-steps (from 1) after which ε < r_hard < r_med < r_easy broke
 
     def to_json(self) -> str:
         doc = {
@@ -183,10 +181,10 @@ def fit(
     tol: float = 1e-6,
 ) -> FitReport:
     """Alternate E and M steps until the log-likelihood improvement drops
-    below tol or max_iters iterations have been applied. Logs one warning
-    summarizing the M-steps that broke the emission ordering, and one if
-    max_iters was reached without converging. max_iters below 1, and a
-    tol that is NaN or negative, raise ValueError before any work."""
+    below tol or max_iters iterations have been applied. The report says
+    whether it converged and which M-steps broke the emission ordering.
+    max_iters below 1, and a tol that is NaN or negative, raise ValueError
+    before any work."""
     if max_iters < 1:
         raise ValueError(f"max_iters {max_iters}: EM needs at least one iteration")
     if not tol >= 0.0:  # also NaN
@@ -201,7 +199,7 @@ def fit(
     prev_ll: float | None = None
     converged = False
     iterations = 0
-    unordered: list[int] = []
+    breaks: list[int] = []
     for _ in range(max_iters):
         ll, update = _em_step(tree, theta, dataset)
         trace.append(ll)
@@ -213,22 +211,9 @@ def fit(
         prev_ll = ll
         r_easy, r_med, r_hard, epsilon = theta[-4:, 0].tolist()
         if not epsilon < r_hard < r_med < r_easy:
-            unordered.append(iterations)
-    params = Parameters.from_column(order, theta[:, 0])
-    if unordered:
-        logger.warning(
-            "emission ordering epsilon < r_hard < r_med < r_easy violated after "
-            "%d of %d M-steps, first after M-step %d; final epsilon=%.6g "
-            "r_hard=%.6g r_med=%.6g r_easy=%.6g", len(unordered), iterations,
-            unordered[0], params.epsilon, params.r_hard, params.r_med, params.r_easy)
-    if not converged:
-        logger.warning("EM did not converge within max_iters=%d (tol=%g)", max_iters, tol)
-    return FitReport(
-        params=params,
-        log_likelihood_trace=trace,
-        iterations=iterations,
-        converged=converged,
-    )
+            breaks.append(iterations)
+    return FitReport(Parameters.from_column(order, theta[:, 0]), trace, iterations,
+                     converged, breaks)
 
 
 #: The per-student view's names this module serves (treekt._LAZY).

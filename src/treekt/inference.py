@@ -489,10 +489,15 @@ def pool_posteriors(
     by the node's [6, S] counts.
 
     own = (at [T], counts [V, 6, T]) gives each target its own counts
-    column, by einsum: it replaces the target's pool column at[t] < S, so a
-    result is [V, T, S] either way. A result with own columns has no
-    log_likelihood."""
+    column, by einsum: it replaces the target's pool column at[t], so a
+    result is [V, T, S] either way; InferenceError names an at[t] outside
+    0 <= at[t] < S. A result with own columns has no log_likelihood."""
     plan = kernel_plan(tree)
+    n_columns = pool.shape[2]
+    if own is not None and len(own[0]) and not 0 <= min(own[0]) <= max(own[0]) < n_columns:
+        t = next(t for t, j in enumerate(own[0]) if not 0 <= j < n_columns)
+        raise InferenceError(f"own column at[{t}] = {own[0][t]} breaks the contract "
+                             f"0 <= at[t] < S = {n_columns}")
     log_gamma, log1m_gamma, log_e1, log_ratio = _log_parts(log_theta)
     shifted = np.matmul(log_ratio.T, pool)
     if own is not None:

@@ -386,6 +386,20 @@ def _json_lines(lines: list[str]) -> Iterator:
                     else map(json.loads, chunk))
 
 
+class _Ids(dict):
+    """One parse's ids, each kept as the first string object of its value.
+    A new id is checked once: one that UTF-8 cannot encode, such as one
+    with a lone surrogate, raises ValueError."""
+
+    def __missing__(self, value: str) -> str:
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ValueError(f"id {value!r} cannot be written as UTF-8 ({exc.reason})") from exc
+        self[value] = value
+        return value
+
+
 def _stream_record(raw, share) -> StreamRecord:
     """The record of a decoded line. A valid line passes one chained
     comparison of its value types, then Difficulty() names a difficulty
@@ -398,7 +412,7 @@ def _stream_record(raw, share) -> StreamRecord:
             sid, qid, kc, difficulty, correct, seq = _stream_values(raw)
             if (str is type(sid) is type(qid) is type(kc) is type(difficulty)
                     and int is type(correct) is type(seq) and correct in (0, 1)):
-                return StreamRecord(share(sid, sid), share(qid, qid), share(kc, kc),
+                return StreamRecord(share(sid), share(qid), share(kc),
                                     _DIFFICULTY.get(difficulty) or Difficulty(difficulty),
                                     correct, seq)
         except KeyError:
@@ -423,9 +437,10 @@ def parse_stream(
     each student's seq order, so a student's seq must increase strictly
     from each of their lines to the next. Given a tree, a kc_id that is not
     one of its leaves raises InferenceError (a domain failure, not a format
-    error) naming the line. Equal ids of one parse are one string object."""
+    error) naming the line. Equal ids of one parse are one string object,
+    and an id that cannot be written as UTF-8 is a bad record (_Ids)."""
     records = []
-    share = {}.setdefault
+    share = _Ids().__getitem__
     last: dict[str, tuple[int, int]] = {}
     leaves = None if tree is None else frozenset(tree.leaves())
     lines = document.splitlines()

@@ -21,7 +21,7 @@ import numpy as np
 
 from .model import Parameters, emission_prob, transition_prob
 from .online import StreamRecord
-from .tree import ConceptNode, ConceptTree, Difficulty, QuestionMeta
+from .tree import ConceptTree, Difficulty, QuestionMeta, build_tree
 
 if TYPE_CHECKING:
     from .view import ObservationSet
@@ -175,22 +175,13 @@ def generate_classroom(
     return stream, truth
 
 
-def random_tree(rng: np.random.Generator, n_nodes: int, prefix: str = "n") -> ConceptTree:
+def random_tree(rng: np.random.Generator, n_nodes: int) -> ConceptTree:
     """Uniform random recursive tree; handy for randomized checks."""
     if n_nodes < 1:
         raise ValueError("need at least one node")
-    ids = [f"{prefix}{i}" for i in range(n_nodes)]
-    parents: dict[str, str | None] = {ids[0]: None}
-    children: dict[str, list[str]] = {node: [] for node in ids}
-    for i in range(1, n_nodes):
-        parent = ids[int(rng.integers(i))]
-        parents[ids[i]] = parent
-        children[parent].append(ids[i])
-    nodes = {
-        node: ConceptNode(node, node, parents[node], tuple(children[node]))
-        for node in ids
-    }
-    return ConceptTree(nodes=nodes, root=ids[0])
+    ids = [f"n{i}" for i in range(n_nodes)]
+    parents = [None] + [ids[int(rng.integers(i))] for i in range(1, n_nodes)]
+    return build_tree(zip(ids, ids, parents))
 
 
 def random_question_bank(

@@ -156,7 +156,8 @@ def build_tree(entries: Iterable[tuple[str, str, str | None]]) -> ConceptTree:
 def parse_tree(document: str) -> ConceptTree:
     """Parse the JSON tree format: {"nodes": [{"id", "label"?, "parent"?}]}.
     id, label (default: the id) and parent (absent or null at the root) are
-    strings; an entry that breaks this is named by its index in nodes."""
+    strings, and UTF-8 must encode the id; an entry that breaks this is
+    named by its index in nodes."""
     try:
         data = json.loads(document)
     except json.JSONDecodeError as exc:
@@ -176,6 +177,11 @@ def parse_tree(document: str) -> ConceptTree:
         for key, value in zip(("id", "label", "parent"), entry):
             if not isinstance(value, str) and (key != "parent" or value is not None):
                 raise TreeFormatError(f"nodes[{i}]: {key} must be a string, got {value!r}")
+        try:
+            entry[0].encode("utf-8")
+        except UnicodeEncodeError as exc:  # a lone surrogate
+            raise TreeFormatError(f"nodes[{i}]: id {entry[0]!r} cannot be written as UTF-8 "
+                                  f"({exc.reason})") from exc
         entries.append(entry)
     return build_tree(entries)
 

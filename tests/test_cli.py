@@ -661,6 +661,68 @@ class TestStreamKC:
         assert not (tmp_path / "out").exists()
 
 
+class TestUnwritableIds:
+    """An id that UTF-8 cannot encode (a lone surrogate, which JSON can
+    escape) exits 2 where it is read, before any fit."""
+
+    @pytest.mark.parametrize("command", ["fit", "eval"])
+    @pytest.mark.parametrize("key", ["student_id", "question_id", "kc_id"])
+    def test_stream_id_exits_two_naming_the_line(self, tmp_path, capsys, monkeypatch,
+                                                 command, key):
+        sim = simulate_into(tmp_path)
+        stream = sim / "stream.jsonl"
+        records = [json.loads(line) for line in stream.read_text().splitlines()]
+        old = records[40][key]
+        for record in records[40:]:  # line 41 and every later line with the id
+            if record[key] == old:
+                record[key] = old + "\ud800"
+        stream.write_text("".join(json.dumps(r) + "\n" for r in records))
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("fitting started")
+
+        monkeypatch.setattr("treekt.cli.burn_in_fit", unreachable)
+        monkeypatch.setattr("treekt.evaluate.burn_in_fit", unreachable)
+        code = main([command, "--tree", str(sim / "tree.json"), "--stream", str(stream),
+                     "--out", str(tmp_path / "out")]
+                    + (["--burn-in", "4"] if command == "eval" else []))
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith(f"error: {stream}:41: bad stream record on line 41: ")
+        assert "cannot be written as UTF-8" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["validate-tree", "fit"])
+    def test_tree_id_exits_two_naming_the_entry(self, tmp_path, capsys, command):
+        sim = simulate_into(tmp_path)
+        doc = json.loads((sim / "tree.json").read_text())
+        doc["nodes"][-1]["id"] += "\ud800"  # a leaf: no node names it as parent
+        tree = tmp_path / "tree.json"
+        tree.write_text(json.dumps(doc))
+        capsys.readouterr()
+        argv = [command, "--tree", str(tree)]
+        if command == "fit":
+            argv += ["--stream", str(sim / "stream.jsonl"), "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"error: {tree}: nodes[{len(doc['nodes']) - 1}]: id ")
+        assert "cannot be written as UTF-8" in captured.err
+
+
+class TestImports:
+    def test_no_logging_on_import(self):
+        script = ("import sys, treekt; before = 'logging' in sys.modules; import treekt.cli; "
+                  "print(before, 'logging' in sys.modules)")
+        done = subprocess.run([sys.executable, "-c", script],
+                              env={**child_env(), "PYTHONDONTWRITEBYTECODE": "1"},
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["False", "False"]
+
+
 FUZZ_LINES = 60
 
 

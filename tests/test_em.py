@@ -1,4 +1,3 @@
-import logging
 import re
 
 import numpy as np
@@ -18,10 +17,13 @@ from treekt import (
     m_step,
     observation_set,
     one_step_update,
+    serialize_tree,
 )
+from treekt.cli import main
 from treekt.em import Accumulators, SufficientStats, batch_m_step
 from treekt.inference import CELL_KEYS
 from treekt.model import EPSILON_CAP, PARAM_FLOOR
+from treekt.online import StreamRecord, serialize_stream
 from treekt.simulate import (
     SimConfig,
     generate_classroom,
@@ -240,10 +242,11 @@ class TestFit:
         stepped = one_step_update(tree, stepped, dataset)
         assert report.params == stepped
 
-    def test_logs_one_summary_per_fit(self, caplog):
+    def test_logs_one_summary_per_fit(self, tmp_path, capsys):
         # Mastered students who always miss hard questions drive r_hard
         # below epsilon after every M-step; with tol=0 the fit also runs out
-        # of iterations. Each condition gets one line, not one per step.
+        # of iterations. The report holds both facts, and treekt fit prints
+        # one line for each on stderr, not one per step.
         tree = star_tree(3)
         interactions = [
             Interaction(f"q{i}", tree.leaves()[i % 3], d, int(d is not Difficulty.HARD))
@@ -253,11 +256,20 @@ class TestFit:
             StudentObservations(f"s{j}", observation_set(tree, interactions))
             for j in range(4)
         ]
-        with caplog.at_level(logging.WARNING, logger="treekt"):
-            report = fit(tree, dataset, default_parameters(tree),
-                         max_iters=6, tol=0.0)
-        messages = [r.getMessage() for r in caplog.records]
+        report = fit(tree, dataset, default_parameters(tree), max_iters=6, tol=0.0)
         assert not report.converged
+        assert len(report.ordering_breaks) == report.iterations == 6
+        assert report.ordering_breaks[0] == 1
+
+        (tmp_path / "tree.json").write_text(serialize_tree(tree))
+        (tmp_path / "stream.jsonl").write_text(serialize_stream(
+            StreamRecord(f"s{j}", *it, seq)
+            for j in range(4) for seq, it in enumerate(interactions)))
+        capsys.readouterr()
+        assert main(["fit", "--tree", str(tmp_path / "tree.json"),
+                     "--stream", str(tmp_path / "stream.jsonl"),
+                     "--out", str(tmp_path / "out"), "--max-iters", "6", "--tol", "0"]) == 0
+        messages = capsys.readouterr().err.splitlines()
         assert len(messages) == 2
         assert "after 6 of 6 M-steps, first after M-step 1" in messages[0]
         assert "did not converge" in messages[1]

@@ -301,6 +301,14 @@ class TestPoolRule:
             np.testing.assert_allclose(result.pair[:, :, t], one.pair[:, :, 0],
                                        rtol=0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("at", [[4, 5, 2], [0, 0, -1]])
+    def test_own_column_outside_the_pool_raises(self, at):
+        # at[t] = S is the old newcomer form; a negative at[t] would
+        # silently replace a column counted from the end.
+        tree, _, log_theta, pool, own = self.setup(62)
+        with pytest.raises(InferenceError, match=r"0 <= at\[t\] < S = 5"):
+            pool_posteriors(tree, log_theta, pool, (np.array(at), own))
+
     @pytest.mark.parametrize("n_columns, n_targets", [(1, 1), (1, 4), (6, 1), (6, 4)])
     def test_every_call_gives_targets_by_columns(self, n_columns, n_targets):
         tree, _, log_theta, pool, _ = self.setup(64, n_columns, n_targets)
@@ -484,7 +492,8 @@ class TestFarOutOfRange:
 class TestOracleAtTheEdges:
     """The kernel against the enumeration oracle where every configuration's
     weight underflows in the linear domain: 10^3-10^5 mixed responses, γ and
-    ε both at PARAM_FLOOR or both at 1 - PARAM_FLOOR."""
+    ε both at PARAM_FLOOR or both at 1 - PARAM_FLOOR, and each rate as it is
+    or at either edge."""
 
     @staticmethod
     def history(leaves, n):
@@ -492,14 +501,19 @@ class TestOracleAtTheEdges:
         return [Interaction(f"q{i}", leaves[i % len(leaves)], difficulties[i % 3], i % 2)
                 for i in range(n)]
 
+    @pytest.mark.parametrize("rate", [None] + [(name, value)
+                                               for name in ("r_easy", "r_med", "r_hard")
+                                               for value in (PARAM_FLOOR, 1 - PARAM_FLOOR)],
+                             ids=lambda rate: "rates" if rate is None else "%s=%g" % rate)
     @pytest.mark.parametrize("layout", ["one leaf", "every leaf"])
     @pytest.mark.parametrize("edge", [PARAM_FLOOR, 1 - PARAM_FLOOR])
     @pytest.mark.parametrize("n", [1_000, 10_000, 100_000])
-    def test_kernel_matches_the_oracle(self, n, edge, layout):
+    def test_kernel_matches_the_oracle(self, n, edge, layout, rate):
         tree = random_tree(np.random.default_rng(n), 7)
         leaves = tree.leaves()[-1:] if layout == "one leaf" else tree.leaves()
-        params = Parameters(gamma=dict.fromkeys(tree.nodes, edge), r_easy=0.9, r_med=0.8,
-                            r_hard=0.75, epsilon=edge)
+        rates = {"r_easy": 0.9, "r_med": 0.8, "r_hard": 0.75}
+        rates.update([rate] if rate else [])
+        params = Parameters(gamma=dict.fromkeys(tree.nodes, edge), epsilon=edge, **rates)
         obs = observation_set(tree, self.history(leaves, n))
         belief = posteriors(tree, params, obs)
         oracle = brute_force_posteriors(tree, params, obs)

@@ -112,6 +112,21 @@ def _write(path: Path, text: str | Iterable[str]) -> None:
         fh.writelines([text] if isinstance(text, str) else text)
 
 
+def _write_all(out: Path, files: dict[str, str | Iterable[str]]) -> None:
+    """_write each file under a temporary name in out, then rename every
+    one into place. Whatever fails first, the temporary files are removed,
+    so a failed run leaves no new or partial file in out."""
+    temps = {out / name: out / f".{name}.{os.getpid()}.tmp" for name in files}
+    try:
+        for temp, text in zip(temps.values(), files.values()):
+            _write(temp, text)
+        for path, temp in temps.items():
+            os.replace(temp, path)
+    finally:
+        for temp in temps.values():
+            temp.unlink(missing_ok=True)
+
+
 def _warn_fit(report, tol: float) -> None:
     """The fit's summary on stderr: ordering breaks, then no convergence."""
     p, breaks = report.params, report.ordering_breaks
@@ -148,9 +163,8 @@ def cmd_fit(args) -> int:
     report = burn_in_fit(tree, by_student, max_iters=args.max_iters,
                          tol=args.tol).fit_report
     _warn_fit(report, args.tol)
-    out = Path(args.out)
-    _write(out / "params.json", report.params.to_json())
-    _write(out / "fit_report.json", report.to_json())
+    _write_all(Path(args.out), {"params.json": report.params.to_json(),
+                                "fit_report.json": report.to_json()})
     print(
         f"fit: {report.iterations} iterations, converged={report.converged}, "
         f"final LL={report.log_likelihood_trace[-1]:.6f}"
@@ -201,10 +215,9 @@ def cmd_eval(args) -> int:
     )
     result = run_experiment(tree, stream, config)
     _warn_fit(result.session.fit_report, args.tol)
-    out = Path(args.out)
-    _write(out / "metrics.json", result.report.to_json())
-    _write(out / "predictions.jsonl", prediction_lines(result.records))
-    _write(out / "predictions.csv", csv_lines(result.records))
+    _write_all(Path(args.out), {"metrics.json": result.report.to_json(),
+                                "predictions.jsonl": prediction_lines(result.records),
+                                "predictions.csv": csv_lines(result.records)})
     print(result.report.table())
     return 0
 

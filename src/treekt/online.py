@@ -366,6 +366,12 @@ _json_string = json.encoder.encode_basestring_ascii
 #: peak RSS 0.4 MB above decoding line by line; 100 do not, at equal speed.
 _CHUNK_LINES = 100
 
+#: Characters load_stream reads at a time, which bounds the text and lines
+#: it holds at once: over one _CHUNK_LINES chunk of the 112-character lines
+#: simulate writes. Smaller blocks read slower, larger ones hold more at
+#: their peak and read no faster (BENCH_bounded_ingest.json).
+_BLOCK_CHARS = 1 << 14
+
 
 def _json_lines(lines: list[str]) -> Iterator:
     """json.loads of each line, decoding _CHUNK_LINES lines as one array
@@ -439,29 +445,40 @@ def parse_stream(
     one of its leaves raises InferenceError (a domain failure, not a format
     error) naming the line. Equal ids of one parse are one string object,
     and an id that cannot be written as UTF-8 is a bad record (_Ids)."""
+    return _parse_blocks([document.splitlines()], source, tree)
+
+
+def _parse_blocks(
+    blocks: Iterable[list[str]], source: str, tree: ConceptTree | None
+) -> list[StreamRecord]:
+    """parse_stream on a document given as its lines (str.splitlines), a
+    list of them at a time, numbered across the lists; each list is
+    decoded and checked before the next is taken."""
     records = []
     share = _Ids().__getitem__
     last: dict[str, tuple[int, int]] = {}
     leaves = None if tree is None else frozenset(tree.leaves())
-    lines = document.splitlines()
-    numbers = [i for i, line in enumerate(lines, start=1) if line.strip()]
-    values = _json_lines([lines[i - 1] for i in numbers])
-    for i in numbers:
-        try:
-            record = _stream_record(next(values), share)
-        except (KeyError, ValueError, TypeError, RecursionError) as exc:
-            detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-            raise StreamFormatError(
-                f"{source}:{i}: bad stream record on line {i}: {detail}") from exc
-        seq, line_no = last.get(record.student_id, (None, None))
-        if seq is not None and record.seq <= seq:
-            raise StreamFormatError(
-                f"{source}:{i}: seq {record.seq} of student {record.student_id!r} "
-                f"does not follow seq {seq} on line {line_no}")
-        last[record.student_id] = (record.seq, i)
-        if leaves is not None and record.kc not in leaves:
-            raise InferenceError(f"{source}:{i}: {leaf_error(tree, record.kc)}")
-        records.append(record)
+    start = 1
+    for lines in blocks:
+        numbers = [i for i, line in enumerate(lines, start) if line.strip()]
+        values = _json_lines([lines[i - start] for i in numbers])
+        start += len(lines)
+        for i in numbers:
+            try:
+                record = _stream_record(next(values), share)
+            except (KeyError, ValueError, TypeError, RecursionError) as exc:
+                detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+                raise StreamFormatError(
+                    f"{source}:{i}: bad stream record on line {i}: {detail}") from exc
+            seq, line_no = last.get(record.student_id, (None, None))
+            if seq is not None and record.seq <= seq:
+                raise StreamFormatError(
+                    f"{source}:{i}: seq {record.seq} of student {record.student_id!r} "
+                    f"does not follow seq {seq} on line {line_no}")
+            last[record.student_id] = (record.seq, i)
+            if leaves is not None and record.kc not in leaves:
+                raise InferenceError(f"{source}:{i}: {leaf_error(tree, record.kc)}")
+            records.append(record)
     return records
 
 
@@ -483,9 +500,38 @@ def serialize_stream(records: Iterable[StreamRecord]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def _file_lines(fh) -> Iterator[list[str]]:
+    """The lines of a text file, as str.splitlines makes them of its whole
+    text, in one list per block of _BLOCK_CHARS characters read. A block
+    that a line break does not end leaves its last line open, and the next
+    block's first line finishes it; fh translates newlines, so no block
+    ends inside a \\r\\n."""
+    head: list[str] = []  # the open line's pieces
+    while block := fh.read(_BLOCK_CHARS):
+        lines = block.splitlines()
+        tail = lines.pop() if lines[-1] and block.endswith(lines[-1]) else None
+        if lines:
+            lines[0] = "".join([*head, lines[0]])
+            head.clear()
+            yield lines
+        if tail is not None:
+            head.append(tail)
+    if head:
+        yield ["".join(head)]
+
+
 def load_stream(path: str, tree: ConceptTree | None = None) -> list[StreamRecord]:
-    """parse_stream on a file; bytes that are not UTF-8 raise
-    StreamFormatError naming the file and their line."""
+    """parse_stream on a file, read _BLOCK_CHARS characters at a time, so
+    that it holds neither the file's text nor all its lines at once; bytes
+    that are not UTF-8 raise StreamFormatError naming the file and their
+    line. A file that fails is read again whole, so that it fails as
+    parse_stream does on its text: bytes that are not UTF-8 anywhere in it
+    are reported before any bad record or off-tree kc_id."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return _parse_blocks(_file_lines(fh), path, tree)
+    except ValueError:  # UnicodeDecodeError, StreamFormatError, InferenceError
+        pass
     with open(path, encoding="utf-8") as fh:
         try:
             document = fh.read()

@@ -185,6 +185,28 @@ class TestFitAndEval:
             "".join(prediction_lines(records)).encode()
         assert (out / "predictions.csv").read_bytes() == "".join(csv_lines(records)).encode()
 
+    def test_failed_write_leaves_out_as_it_was(self, tmp_path, monkeypatch, capsys):
+        sim = simulate_into(tmp_path)
+        out = tmp_path / "eval"
+        out.mkdir()
+        old = {name: f"old {name}\n".encode() for name in
+               ("metrics.json", "predictions.jsonl", "predictions.csv", "notes.txt")}
+        for name, data in old.items():
+            (out / name).write_bytes(data)
+
+        def csv_lines_that_fail(records):
+            lines = csv_lines(records)
+            yield next(lines)
+            yield next(lines)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "csv_lines", csv_lines_that_fail)
+        assert main(["eval", "--tree", str(sim / "tree.json"),
+                     "--stream", str(sim / "stream.jsonl"),
+                     "--out", str(out), "--burn-in", "4", "--tol", "1e-4"]) == 2
+        assert "disk full" in capsys.readouterr().err
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == old
+
     def test_fit_files_equal_burn_in_fit_over_interactions(self, tmp_path):
         sim = simulate_into(tmp_path)
         out = tmp_path / "fit"

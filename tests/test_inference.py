@@ -351,16 +351,32 @@ CHAIN_DEPTHS = sorted({*range(1, 19), *(2**k + d for k in range(2, 8) for d in (
 
 
 class TestDeepChains:
+    @staticmethod
+    def leaf_history(rng, depth, n):
+        """n responses of random difficulty and outcome on the chain's leaf."""
+        return [Interaction(f"q{i}", f"n{depth - 1}", list(Difficulty)[int(rng.integers(3))],
+                            int(rng.integers(2))) for i in range(n)]
+
     @pytest.mark.parametrize("depth", CHAIN_DEPTHS)
     def test_chain_matches_state_enumeration(self, depth):
         rng = np.random.default_rng(depth)
         tree = chain_tree(depth)
         params = random_parameters(tree, rng)
-        leaf = f"n{depth - 1}"
-        histories = [[], *(
-            [Interaction(f"q{i}", leaf, list(Difficulty)[int(rng.integers(3))],
-                         int(rng.integers(2))) for i in range(int(rng.integers(1, 40)))]
-            for _ in range(3))]
+        histories = [[], *(self.leaf_history(rng, depth, int(rng.integers(1, 40)))
+                           for _ in range(3))]
+        self.assert_matches_enumeration(tree, params, histories)
+
+    @pytest.mark.parametrize("depth", [3, 17, 129])
+    @pytest.mark.parametrize("n", [10**3, 10**4])
+    def test_long_history_matches_state_enumeration(self, depth, n):
+        rng = np.random.default_rng([depth, n])
+        tree = chain_tree(depth)
+        params = random_parameters(tree, rng)
+        self.assert_matches_enumeration(tree, params, [self.leaf_history(rng, depth, n)])
+
+    @staticmethod
+    def assert_matches_enumeration(tree, params, histories):
+        depth = len(tree.nodes)
         result = shared_posteriors(tree, params, pack_counts(tree, histories))
         assert len(result.plan.jumps) == math.ceil(math.log2(depth))
         for column, history in enumerate(histories):

@@ -1,10 +1,12 @@
 import dataclasses
+import io
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from treekt import (
     ClassroomSession,
@@ -30,6 +32,7 @@ from treekt import (
     run_experiment,
     split_burn_in,
 )
+from treekt import online
 from treekt.em import pooled_e_step
 from treekt.inference import (
     InferenceError,
@@ -192,6 +195,8 @@ STREAM_KEYS = ["student_id", "question_id", "kc_id", "difficulty", "correct", "s
 WRONG_VALUES = ["true", "false", "1.0", "2.5", "null", "[]", "[1]", "NaN",
                 "-Infinity", '"7"', "0"]
 JSON_SPACE = st.text(alphabet=" \t\r", max_size=2)
+#: Line breaks of str.splitlines, which both stream parsers number lines by.
+LINE_BREAKS = ["\n", "\r", "\r\n", "\x0c", "\u2028"]
 ODD_SPACE = st.sampled_from(["\x0c", "\u00a0", "\ufeff", "\x0b", "\u2028"])
 
 
@@ -251,10 +256,10 @@ def stream_documents(draw):
         st.sampled_from(["", "\n"]))
 
 
-def outcome(parse, document):
+def outcome(parse, document, source="s.jsonl"):
     """What parse makes of document: its records, or its error's type and text."""
     try:
-        records = parse(document, source="s.jsonl")
+        records = parse(document, source=source)
     except StreamFormatError as exc:
         return type(exc), str(exc)
     assert all(type(r.difficulty) is Difficulty for r in records)
@@ -286,21 +291,35 @@ class TestParserAgainstReference:
         line = "{" + ", ".join(f'"{k}": {v}' for k, v in raw.items()) + "}"
         assert outcome(parse_stream, line) == outcome(reference_parse_stream, line)
 
-    @pytest.mark.parametrize("newline", ["\n", "\r", "\r\n", "\x0c", "\u2028"])
-    def test_bytes_that_are_not_utf8_name_the_file_and_line(self, tmp_path, newline):
-        _, _, stream = small_classroom()
+    # Each id names the bad line 1, if any, then the newline.
+    @pytest.mark.parametrize("newline, line_1", [
+        *(pytest.param(newline, "valid", id=newline) for newline in LINE_BREAKS),
+        *(pytest.param(newline, line_1, id=f"{line_1}-{newline}")
+          for line_1 in ("bad record", "inner kc_id") for newline in LINE_BREAKS)])
+    def test_bytes_that_are_not_utf8_name_the_file_and_line(self, tmp_path, monkeypatch,
+                                                            newline, line_1):
+        tree, _, stream = small_classroom()
         lines = serialize_stream(stream[:3]).splitlines()
+        if line_1 == "bad record":
+            lines[0] = "[]"
+        elif line_1 == "inner kc_id":
+            lines[0] = json.dumps({**json.loads(lines[0]), "kc_id": tree.root})
+        # Line 2 ends past the first bytes the reader decodes, so that it
+        # parses line 1 before it meets the bad byte on line 3.
+        monkeypatch.setattr(online, "_BLOCK_CHARS", 64)
+        lines[1] += " " * 2 * io.DEFAULT_BUFFER_SIZE
         first = (newline.join(lines[:2]) + newline).encode()
         path = tmp_path / "stream.jsonl"
         path.write_bytes(first + lines[2][:3].encode() + b"\xff" + lines[2][3:].encode())
         with pytest.raises(StreamFormatError) as exc:
-            load_stream(str(path))
+            load_stream(str(path), tree)
         assert str(exc.value).startswith(f"{path}:3: not UTF-8 text on line 3: ")
         assert isinstance(exc.value.__cause__, UnicodeDecodeError)
-        # The parser numbers a bad record in the same place the same way.
-        path.write_bytes(first + b"[]")
-        with pytest.raises(StreamFormatError, match=":3: bad stream record on line 3: "):
-            load_stream(str(path))
+        if line_1 == "valid":
+            # The parser numbers a bad record in the same place the same way.
+            path.write_bytes(first + b"[]")
+            with pytest.raises(StreamFormatError, match=":3: bad stream record on line 3: "):
+                load_stream(str(path), tree)
 
 
     #: One bad line of each kind, or two that are bad together, for the
@@ -342,6 +361,62 @@ class TestParserAgainstReference:
         got = outcome(parse_stream, document)
         assert got == outcome(reference_parse_stream, document)
         assert got[1].startswith(f"s.jsonl:{n_valid + 1}: ")
+
+
+class TestStreamedReader:
+    """load_stream reads a file online._BLOCK_CHARS characters at a time."""
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(document=stream_documents(), newline=st.sampled_from(LINE_BREAKS),
+           raw=st.sampled_from(["", "\u00e9", "\x85", "\u2028"]), block=st.integers(1, 7),
+           lead=st.sampled_from(["", "\u00a0", "\u2028", "\u3000"]), shift=st.integers(1, 3))
+    @example(document='\ufeff{"student_id": "s1"}', newline="\n", raw="", block=1, lead="",
+             shift=1)
+    @example(document='{"student_id": NaN}', newline="\r\n", raw="", block=2, lead="",
+             shift=1)
+    @example(document="{} {}", newline="\r", raw="", block=3, lead="", shift=1)
+    def test_same_outcome_as_parse_stream_at_every_block_edge(
+            self, tmp_path, monkeypatch, document, newline, raw, block, lead, shift):
+        # Blocks of a few characters end inside lines and between the \r
+        # and \n of a pair. raw goes into student id s2 as it is: a
+        # multi-byte character, or one that JSON takes in a string and
+        # str.splitlines takes as a line break. A lead line of spaces ending
+        # in a multi-byte space puts that character across the end of the
+        # first bytes the reader decodes.
+        if lead:
+            lead = " " * (io.DEFAULT_BUFFER_SIZE - shift) + lead + newline
+        text = lead + document.replace("\r\n", "\n").replace("\n", newline)
+        text = text.replace('"s2"', f'"s{raw}2"')
+        path = tmp_path / "stream.jsonl"
+        path.write_bytes(text.encode())
+        monkeypatch.setattr(online, "_BLOCK_CHARS", block)
+        whole = []  # the texts load_stream read again whole, after its streamed pass failed
+        monkeypatch.setattr(online, "parse_stream",
+                            lambda document, **kw: whole.append(document) or
+                            parse_stream(document, **kw))
+        got = outcome(lambda _, source: load_stream(source), None, source=str(path))
+        assert got == outcome(parse_stream, text, source=str(path))
+        assert bool(whole) == (type(got) is tuple)  # valid files are read once
+        # The streamed pass numbers lines as the whole text's splitlines does.
+        with open(path, encoding="utf-8") as fh:
+            assert [line for lines in online._file_lines(fh) for line in lines] == \
+                text.splitlines()
+
+    def test_holds_little_beside_the_records(self, tmp_path):
+        # Reading whole held the text and every line beside the records:
+        # a traced peak 4.7 times what the records hold.
+        path = tmp_path / "stream.jsonl"
+        lines = TestParserAgainstReference.valid_lines(20_000)
+        path.write_text("".join(line + "\n" for line in lines))
+        tracemalloc.start()
+        try:
+            records = load_stream(str(path))
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(records) == 20_000
+        assert peak <= 1.5 * held
 
 
 class TestSplitBurnIn:

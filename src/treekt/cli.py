@@ -12,6 +12,7 @@ has glibc keep inference.HEAP_TOP_PAD freed bytes at the heap top.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -115,16 +116,22 @@ def _write(path: Path, text: str | Iterable[str]) -> None:
 def _write_all(out: Path, files: dict[str, str | Iterable[str]]) -> None:
     """_write each file under a temporary name in out, then rename every
     one into place. Whatever fails first, the temporary files are removed,
-    so a failed run leaves no new or partial file in out."""
+    and so are out and its parents where this call made them, so a failed
+    run leaves no new or partial file or directory."""
+    made = [path for path in (out, *out.parents) if not path.exists()]  # deepest first
     temps = {out / name: out / f".{name}.{os.getpid()}.tmp" for name in files}
     try:
         for temp, text in zip(temps.values(), files.values()):
             _write(temp, text)
         for path, temp in temps.items():
             os.replace(temp, path)
-    finally:
+    except BaseException:
         for temp in temps.values():
             temp.unlink(missing_ok=True)
+        for path in made:
+            with contextlib.suppress(OSError):  # not empty: a file was renamed in
+                path.rmdir()
+        raise
 
 
 def _warn_fit(report, tol: float) -> None:
@@ -152,11 +159,25 @@ def cmd_validate_tree(args) -> int:
     return 0
 
 
+def _fit_histories(path: str, tree) -> dict[str, list]:
+    """Each student's responses in stream order, as `treekt fit` holds
+    them. A fit reads a response's kc, difficulty and correct only, so a
+    history holds the first record of each such cell: one pointer per
+    response, and at most 6 V records in all (load_stream's sink)."""
+    by_student: dict[str, list] = {}
+    cells: dict[tuple, object] = {}
+
+    def keep(rec) -> None:
+        by_student.setdefault(rec.student_id, []).append(
+            cells.setdefault((rec.kc, rec.difficulty, rec.correct), rec))
+
+    load_stream(path, tree, sink=keep)
+    return by_student
+
+
 def cmd_fit(args) -> int:
     tree = load_tree(args.tree)
-    by_student: dict[str, list] = {}
-    for rec in load_stream(args.stream, tree):
-        by_student.setdefault(rec.student_id, []).append(rec)
+    by_student = _fit_histories(args.stream, tree)
     if not by_student:
         print("error: stream is empty", file=sys.stderr)
         return 1
@@ -194,11 +215,11 @@ def cmd_simulate(args) -> int:
     )
     stream, truth = generate_classroom(tree, params, bank, config)
     out = Path(args.out)
-    _write(out / "tree.json", serialize_tree(tree))
-    _write(out / "questions.jsonl", serialize_questions(bank))
-    _write(out / "stream.jsonl", serialize_stream(stream))
-    _write(out / "theta_star.json", params.to_json())
-    _write(out / "ground_truth.json", truth.to_json())
+    _write_all(out, {"tree.json": serialize_tree(tree),
+                     "questions.jsonl": serialize_questions(bank),
+                     "stream.jsonl": serialize_stream(stream),
+                     "theta_star.json": params.to_json(),
+                     "ground_truth.json": truth.to_json()})
     print(f"simulated {config.n_students} students x {config.n_interactions} "
           f"interactions into {out}")
     return 0

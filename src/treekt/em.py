@@ -99,20 +99,32 @@ def pooled_e_step(
         c = slice(a, a + step)
         part = None if own is None else (own[0][c], own[1][:, :, c])
         post = pool_posteriors(tree, log_theta[:, c], pool, part)
-        cells, marginal = post.pair, post.marginal
-        u = np.matmul(pool, cells[0].transpose(0, 2, 1)).sum(axis=0)
-        m = np.matmul(pool, marginal.transpose(0, 2, 1)).sum(axis=0)
         if own is not None:
             t, j = np.arange(len(part[0])), part[0]
             delta = part[1] - pool[:, :, j]
-            u += np.einsum("vkt,vt->kt", delta, cells[0][:, t, j])
-            m += np.einsum("vkt,vt->kt", delta, marginal[:, t, j])
-        unmastered[c], mastered[c] = u.T, m.T
-        pair[:, :, c] = cells.sum(axis=-1)
-        root[c] = marginal[0].sum(axis=-1)
+
+        def contract(plane):
+            """Each cell's counts weighted by plane [V, T, S], summed over
+            every target's dataset: [6, T]."""
+            total = np.matmul(pool, plane.transpose(0, 2, 1)).sum(axis=0)
+            if own is not None:
+                total += np.einsum("vkt,vt->kt", delta, plane[:, t, j])
+            return total
+
+        # One [V, T, S] plane, filled three times: P(unmastered), the (1, 0)
+        # cell, then the negated marginal. The mastered sums contract the
+        # marginal: each cell's total less its unmastered sum loses the
+        # precision of a mastered mass that is tiny.
+        plane = np.exp(post.log_p0)
+        unmastered[c] = contract(plane).T
+        pair[0, :, c] = plane.sum(axis=-1)
+        pair[1, :, c] = post.learned(out=plane).sum(axis=-1)
+        np.expm1(post.log_p0, out=plane)
+        mastered[c] = -contract(plane).T
+        root[c] = -plane[0].sum(axis=-1)
         if ll is not None:
             ll[c] = post.log_likelihood.sum(axis=-1)
-        del post, cells, marginal  # before the next call's arrays are made
+        del post, plane  # before the next call's arrays are made
     return Accumulators(unmastered, mastered, pair, root, n_columns, ll)
 
 

@@ -393,30 +393,48 @@ def log_form(theta: np.ndarray) -> np.ndarray:
 
 class BatchPosteriors:
     """Kernel output of T targets over S columns, node axis in plan order.
-    marginal is [V, T, S]; pair [2, V, T, S] holds the (child, parent)
-    cells (0, 0) and (1, 0), what an E-step reads; (0, 1) is zero, as a
-    mastered parent entails the child, and (1, 1) is the parent's marginal.
-    The root's parent counts as unmastered. pair and log_likelihood [T, S]
-    are built on first read, which a prediction never makes, from the
-    kernel's log P(unmastered | data) rows (row V is 0) and upward
-    messages; the counts must not change before then."""
+    The kernel's one posterior plane is log_p0 [V, T, S], log P(node
+    unmastered | data). marginal [V, T, S], P(node mastered | data), is
+    built from it on first read. pair [2, V, T, S] holds the (child,
+    parent) cells (0, 0) and (1, 0); (0, 1) is zero, as a mastered parent
+    entails the child, and (1, 1) is the parent's marginal. The root's
+    parent counts as unmastered. An E-step reads log_p0 and learned, the
+    (1, 0) cell, one plane at a time; pair stacks both, for the per-student
+    view. pair and log_likelihood [T, S] are built on first read, which a
+    prediction never makes, from log_p0, the row of zeros above the root
+    and the upward messages; the counts must not change before then."""
 
-    def __init__(self, plan, marginal, log_p0, log_gamma, up, log_e1, counts):
+    def __init__(self, plan, log_p0, log_gamma, up, log_e1, counts):
         self.plan = plan
-        self.marginal = marginal
         self._messages = (log_p0, log_gamma, up, log_e1, counts)
-        self._pair = self._log_likelihood = None
+        self._marginal = self._pair = self._log_likelihood = None
+
+    @property
+    def log_p0(self) -> np.ndarray:
+        return self._messages[0][:-1]
+
+    @property
+    def marginal(self) -> np.ndarray:
+        if self._marginal is None:
+            self._marginal = -np.expm1(self.log_p0)
+        return self._marginal
+
+    def learned(self, out: np.ndarray | None = None) -> np.ndarray:
+        """The (1, 0) cell, P(node mastered, parent unmastered | data) [V,
+        T, S]: exp(log_p0 of the parent + log γ - up), in out if given."""
+        log_p0, log_gamma, up, _, _ = self._messages
+        # Every index is in range; under mode "raise" take would buffer out.
+        out = log_p0.take(self.plan.parent, axis=0, out=out, mode="clip")
+        out += log_gamma
+        out -= up
+        return np.exp(out, out=out)
 
     @property
     def pair(self) -> np.ndarray:
         if self._pair is None:
-            log_p0, log_gamma, up, _, _ = self._messages
-            self._pair = pair = np.empty((2, *up.shape))
-            np.exp(log_p0[:-1], out=pair[0])
-            parent_log_p0 = log_p0.take(self.plan.parent, axis=0)
-            parent_log_p0 += log_gamma
-            parent_log_p0 -= up
-            np.exp(parent_log_p0, out=pair[1])
+            self._pair = pair = np.empty((2, *self.log_p0.shape))
+            np.exp(self.log_p0, out=pair[0])
+            self.learned(out=pair[1])
         return self._pair
 
     @property
@@ -476,9 +494,8 @@ def _passes(plan: KernelPlan, log_gamma: np.ndarray, shifted: np.ndarray,
         np.subtract(shifted, up, out=log_p0)
         for jump in plan.jumps:
             log_p0 += buf.take(jump, axis=0)  # a copy: every row reads step k - 1
-    return BatchPosteriors(plan, -np.expm1(log_p0).reshape(shape),
-                           buf.reshape(len(buf), *shape[1:]), log_gamma, up.reshape(shape),
-                           log_e1, counts)
+    return BatchPosteriors(plan, buf.reshape(len(buf), *shape[1:]), log_gamma,
+                           up.reshape(shape), log_e1, counts)
 
 
 def pool_posteriors(

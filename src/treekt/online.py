@@ -33,9 +33,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import islice
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -132,9 +131,7 @@ class ClassroomSession:
         batch = self.update_batch
         if batch is not None and not (isinstance(batch, int) and batch >= 1):
             raise ValueError(f"update_batch must be None or an int >= 1, got {batch!r}")
-        slots = iter(cell_slots(self.tree, [it for history in self.burn_in.values()
-                                            for it in history]))
-        self._burn_in_slots = {sid: list(islice(slots, len(history)))
+        self._burn_in_slots = {sid: cell_slots(self.tree, history)
                                for sid, history in self.burn_in.items()}
 
     def _init_columns(self) -> tuple[np.ndarray, np.ndarray]:
@@ -176,13 +173,15 @@ def burn_in_fit(
     """Fit the shared model on pooled early interactions, to convergence.
     The fit reads only each response's kc, difficulty and correct, so a
     caller that drops the session, as `treekt fit` does, may pass
-    StreamRecords in place of Interactions. An init that misses a node's
-    gamma raises ParameterError before the fit."""
+    StreamRecords in place of Interactions, and one object for every
+    response of a cell. The session keeps the histories given, uncopied.
+    An init that misses a node's gamma raises ParameterError before the
+    fit."""
     if not burn_in or not any(burn_in.values()):
         raise ValueError("burn-in data must be non-empty")
     session = ClassroomSession(
         tree=tree,
-        burn_in={sid: list(v) for sid, v in burn_in.items()},
+        burn_in=dict(burn_in),
         theta_init=default_parameters(tree) if init is None else init,
         update_batch=update_batch,
     )
@@ -445,16 +444,19 @@ def parse_stream(
     one of its leaves raises InferenceError (a domain failure, not a format
     error) naming the line. Equal ids of one parse are one string object,
     and an id that cannot be written as UTF-8 is a bad record (_Ids)."""
-    return _parse_blocks([document.splitlines()], source, tree)
+    records: list[StreamRecord] = []
+    _parse_blocks([document.splitlines()], source, tree, records.append)
+    return records
 
 
 def _parse_blocks(
-    blocks: Iterable[list[str]], source: str, tree: ConceptTree | None
-) -> list[StreamRecord]:
+    blocks: Iterable[list[str]], source: str, tree: ConceptTree | None,
+    sink: Callable[[StreamRecord], object],
+) -> None:
     """parse_stream on a document given as its lines (str.splitlines), a
     list of them at a time, numbered across the lists; each list is
-    decoded and checked before the next is taken."""
-    records = []
+    decoded and checked before the next is taken, and each checked record
+    goes to sink in line order."""
     share = _Ids().__getitem__
     last: dict[str, tuple[int, int]] = {}
     leaves = None if tree is None else frozenset(tree.leaves())
@@ -478,8 +480,7 @@ def _parse_blocks(
             last[record.student_id] = (record.seq, i)
             if leaves is not None and record.kc not in leaves:
                 raise InferenceError(f"{source}:{i}: {leaf_error(tree, record.kc)}")
-            records.append(record)
-    return records
+            sink(record)
 
 
 def serialize_stream(records: Iterable[StreamRecord]) -> str:
@@ -520,18 +521,27 @@ def _file_lines(fh) -> Iterator[list[str]]:
         yield ["".join(head)]
 
 
-def load_stream(path: str, tree: ConceptTree | None = None) -> list[StreamRecord]:
+def load_stream(
+    path: str, tree: ConceptTree | None = None, *,
+    sink: Callable[[StreamRecord], object] | None = None,
+) -> list[StreamRecord] | None:
     """parse_stream on a file, read _BLOCK_CHARS characters at a time, so
     that it holds neither the file's text nor all its lines at once; bytes
     that are not UTF-8 raise StreamFormatError naming the file and their
-    line. A file that fails is read again whole, so that it fails as
-    parse_stream does on its text: bytes that are not UTF-8 anywhere in it
-    are reported before any bad record or off-tree kc_id."""
+    line. Given a sink, each checked record goes to sink in line order, in
+    place of the returned list, and load_stream returns None; the parse
+    still runs inside this call. A file that fails is read again whole, so
+    that it fails as parse_stream does on its text: bytes that are not
+    UTF-8 anywhere in it are reported before any bad record or off-tree
+    kc_id. The sink then has had the records before the failing line, and
+    the second reading hands it nothing."""
+    records: list[StreamRecord] = []
     try:
         with open(path, encoding="utf-8") as fh:
-            return _parse_blocks(_file_lines(fh), path, tree)
-    except ValueError:  # UnicodeDecodeError, StreamFormatError, InferenceError
-        pass
+            _parse_blocks(_file_lines(fh), path, tree, sink or records.append)
+        return None if sink else records
+    except ValueError as exc:  # UnicodeDecodeError, StreamFormatError, InferenceError
+        failure = exc
     with open(path, encoding="utf-8") as fh:
         try:
             document = fh.read()
@@ -539,7 +549,8 @@ def load_stream(path: str, tree: ConceptTree | None = None) -> list[StreamRecord
             line = utf8_line(exc)
             raise StreamFormatError(
                 f"{path}:{line}: not UTF-8 text on line {line}: {exc}") from exc
-    return parse_stream(document, source=path, tree=tree)
+    parse_stream(document, source=path, tree=tree)  # the file's first error
+    raise failure  # the file has none: the sink raised
 
 
 def prediction_lines(records: Iterable[PredictionRecord]) -> Iterator[str]:

@@ -131,6 +131,56 @@ class TestSimulate:
         assert captured.out == ""
         assert not out.exists()
 
+    def test_failed_write_leaves_out_as_it_was(self, tmp_path, monkeypatch, capsys):
+        # The five files land all or none: old files keep their bytes, and
+        # no temporary file stays.
+        out = tmp_path / "sim"
+        out.mkdir()
+        old = {name: f"old {name}\n".encode() for name in
+               ("tree.json", "stream.jsonl", "ground_truth.json", "notes.txt")}
+        for name, data in old.items():
+            (out / name).write_bytes(data)
+        monkeypatch.setattr(cli, "_write", failing_write(3))
+        assert main(["simulate", "--nodes", "6", "--students", "6", "--interactions", "10",
+                     "--seed", "5", "--out", str(out)]) == 2
+        assert "disk full" in capsys.readouterr().err
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == old
+
+
+def failing_write(fail_at):
+    """cli._write that writes part of its fail_at-th file, then raises
+    OSError."""
+    real, calls = cli._write, []
+
+    def write(path, text):
+        calls.append(path)
+        if len(calls) == fail_at:
+            path.write_text("part")
+            raise OSError("disk full")
+        real(path, text)
+
+    return write
+
+
+class TestOutputDirectory:
+    @pytest.mark.parametrize("command", ["simulate", "fit", "eval"])
+    def test_failed_write_removes_the_out_it_made(self, tmp_path, monkeypatch, capsys,
+                                                  command):
+        sim = simulate_into(tmp_path)
+        out = tmp_path / "new" / "out"
+        args = {"simulate": ["--nodes", "6", "--students", "6", "--interactions", "10"],
+                "fit": ["--tree", str(sim / "tree.json"), "--stream", str(sim / "stream.jsonl")],
+                "eval": ["--tree", str(sim / "tree.json"), "--stream", str(sim / "stream.jsonl"),
+                         "--burn-in", "4"]}[command]
+        files = {"simulate": 5, "fit": 2, "eval": 3}[command]
+        monkeypatch.setattr(cli, "_write", failing_write(files))
+        assert main([command, *args, "--out", str(out)]) == 2
+        assert "disk full" in capsys.readouterr().err
+        assert not (tmp_path / "new").exists()
+        monkeypatch.undo()
+        assert main([command, *args, "--out", str(out)]) == 0
+        assert len([*out.iterdir()]) == files
+
 
 class TestFitAndEval:
     def test_fit_writes_params_and_report(self, tmp_path, capsys):
@@ -649,6 +699,111 @@ class TestEvalBoundary:
             main(["eval", "--tree", "t", "--stream", "s", "--out", str(tmp_path),
                   "--bin-hi", "0.7"])
         assert exc.value.code == 2
+
+
+class TestFitBadStreams:
+    """treekt fit reads its stream through a sink; every bad stream still
+    exits with the code and message of load_stream's own error, and --out
+    keeps its bytes."""
+
+    @staticmethod
+    def bad_stream(sim, tmp_path, case):
+        data = (sim / "stream.jsonl").read_bytes()
+        lines = data.decode().splitlines()
+        record = json.loads(lines[2])
+        if case == "not_utf8":
+            at = data.index(b"\n", data.index(b"\n") + 1) + 3  # on line 3
+            data = data[:at] + b"\xff" + data[at:]
+        elif case == "empty":
+            data = b""
+        else:
+            if case == "no_difficulty":
+                del record["difficulty"]
+            elif case == "weird_difficulty":
+                record["difficulty"] = "weird"
+            elif case == "unknown_kc":
+                record["kc_id"] = "no_such_kc"
+            elif case == "root_kc":
+                record["kc_id"] = load_tree(str(sim / "tree.json")).root
+            elif case == "lone_surrogate":
+                record["question_id"] += "\ud800"
+            elif case == "seq_repeat":  # line 1 again
+                record = json.loads(lines[0])
+            lines[2] = "[" * 100_000 if case == "deep" else json.dumps(record)
+            data = "".join(line + "\n" for line in lines).encode()
+        path = tmp_path / f"{case}.jsonl"
+        path.write_bytes(data)
+        return path
+
+    @pytest.mark.parametrize("case", ["not_utf8", "no_difficulty", "weird_difficulty", "deep",
+                                      "unknown_kc", "root_kc", "lone_surrogate", "seq_repeat",
+                                      "empty"])
+    def test_code_message_and_out_bytes(self, tmp_path, capsys, case):
+        sim = simulate_into(tmp_path)
+        stream = self.bad_stream(sim, tmp_path, case)
+        tree = str(sim / "tree.json")
+        if case == "empty":
+            want = 1, "error: stream is empty\n"
+        else:
+            with pytest.raises(ValueError) as raised:
+                load_stream(str(stream), load_tree(tree))
+            code = 2 if isinstance(raised.value, cli.StreamFormatError) else 1
+            want = code, f"error: {raised.value}\n"
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "params.json").write_text("old\n")
+        capsys.readouterr()
+        code = main(["fit", "--tree", tree, "--stream", str(stream), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == want
+        assert captured.out == ""
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == \
+            {"params.json": b"old\n"}
+        assert main(["fit", "--tree", tree, "--stream", str(stream),
+                     "--out", str(tmp_path / "new")]) == want[0]
+        assert not (tmp_path / "new").exists()
+
+
+class TestFitMemory:
+    def test_holds_a_pointer_per_response_beyond_the_pool(self, tmp_path, monkeypatch):
+        # 20 000 responses of 200 students on a 60-node tree. When EM starts,
+        # treekt fit held about 130 B per response beyond the pool while it
+        # kept every parsed record; it keeps one record per cell.
+        import tracemalloc
+        import treekt.online
+
+        rng = np.random.default_rng(4)
+        tree = random_tree(rng, 60)
+        leaves = sorted(tree.leaves())
+        n_lines = 20_000
+        kcs = rng.integers(0, len(leaves), n_lines)
+        difficulties = rng.choice(["easy", "medium", "hard"], n_lines)
+        correct = rng.integers(0, 2, n_lines)
+        lines = [json.dumps({"student_id": f"s{i % 200:03d}", "question_id": f"q{kc}",
+                             "kc_id": leaves[kc], "difficulty": str(d), "correct": int(c),
+                             "seq": i})
+                 for i, (kc, d, c) in enumerate(zip(kcs, difficulties, correct))]
+        (tmp_path / "tree.json").write_text(serialize_tree(tree))
+        (tmp_path / "stream.jsonl").write_text("\n".join(lines) + "\n")
+        del lines
+        at_start = []
+
+        def fit(tree, pool, *args, **kwargs):
+            at_start.append((tracemalloc.get_traced_memory()[0], pool.nbytes))
+            return real_fit(tree, pool, *args, **kwargs)
+
+        real_fit = treekt.online.fit
+        monkeypatch.setattr(treekt.online, "fit", fit)
+        tracemalloc.start()
+        try:
+            code = main(["fit", "--tree", str(tmp_path / "tree.json"),
+                         "--stream", str(tmp_path / "stream.jsonl"),
+                         "--out", str(tmp_path / "out"), "--max-iters", "1"])
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        (held, pool), = at_start
+        assert held - pool <= 48 * n_lines
 
 
 class TestStreamKC:

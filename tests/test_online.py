@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import io
 import json
@@ -33,7 +34,7 @@ from treekt import (
     split_burn_in,
 )
 from treekt import online
-from treekt.em import pooled_e_step
+from treekt.em import Accumulators, batch_m_step, pooled_e_step
 from treekt.inference import (
     InferenceError,
     cell_slots,
@@ -42,7 +43,7 @@ from treekt.inference import (
     pack_counts,
     pool_posteriors,
 )
-from treekt.model import ParameterError
+from treekt.model import PARAM_FLOOR, ParameterError
 from treekt.online import (
     StreamFormatError,
     load_stream,
@@ -398,10 +399,32 @@ class TestStreamedReader:
         got = outcome(lambda _, source: load_stream(source), None, source=str(path))
         assert got == outcome(parse_stream, text, source=str(path))
         assert bool(whole) == (type(got) is tuple)  # valid files are read once
+        # A sink gets parse_stream's records in order, or the records before
+        # the same error; the whole-text reading after a failure gets none.
+        sunk, once = [], []
+        assert outcome(lambda _, source: load_stream(source, sink=sunk.append) or sunk,
+                       None, source=str(path)) == got
+        with contextlib.suppress(ValueError):
+            online._parse_blocks([text.splitlines()], str(path), None, once.append)
+        assert sunk == once
         # The streamed pass numbers lines as the whole text's splitlines does.
         with open(path, encoding="utf-8") as fh:
             assert [line for lines in online._file_lines(fh) for line in lines] == \
                 text.splitlines()
+
+    def test_an_error_of_the_sink_on_a_valid_file_is_raised(self, tmp_path):
+        path = tmp_path / "stream.jsonl"
+        path.write_text("".join(line + "\n" for line in TestParserAgainstReference.valid_lines(5)))
+        sunk = []
+
+        def sink(record):
+            sunk.append(record)
+            if len(sunk) == 3:
+                raise ValueError("sink full")
+
+        with pytest.raises(ValueError, match="^sink full$"):
+            load_stream(str(path), sink=sink)
+        assert sunk == parse_stream(path.read_text())[:3]
 
     def test_holds_little_beside_the_records(self, tmp_path):
         # Reading whole held the text and every line beside the records:
@@ -1020,6 +1043,71 @@ class TestPooledEStep:
         assert session.pool.shape[2] == len(session.burn_in) == 8
         assert any(own is not None for _, own in calls)
         assert all(pool is session.pool for pool, _ in calls)
+
+    @staticmethod
+    def old_contractions(tree, log_theta, pool, own):
+        """The sums as the E-step formed them from the full planes: the
+        stacked pair cells and the marginal, each contracted with the pool,
+        in the same kernel calls of em.targets_per_call targets."""
+        import treekt.em
+
+        n_nodes, n_cells, n_columns = pool.shape
+        n_targets = log_theta.shape[1]
+        unmastered, mastered = np.empty((2, n_targets, n_cells))
+        pair, root = np.empty((2, n_nodes, n_targets)), np.empty(n_targets)
+        step = treekt.em.targets_per_call(n_nodes * n_columns)
+        for a in range(0, n_targets, step):
+            c = slice(a, a + step)
+            part = None if own is None else (own[0][c], own[1][:, :, c])
+            post = pool_posteriors(tree, log_theta[:, c], pool, part)
+            cells, marginal = post.pair, post.marginal
+            u = np.matmul(pool, cells[0].transpose(0, 2, 1)).sum(axis=0)
+            m = np.matmul(pool, marginal.transpose(0, 2, 1)).sum(axis=0)
+            if own is not None:
+                t, j = np.arange(len(part[0])), part[0]
+                delta = part[1] - pool[:, :, j]
+                u += np.einsum("vkt,vt->kt", delta, cells[0][:, t, j])
+                m += np.einsum("vkt,vt->kt", delta, marginal[:, t, j])
+            unmastered[c], mastered[c] = u.T, m.T
+            pair[:, :, c] = cells.sum(axis=-1)
+            root[c] = marginal[0].sum(axis=-1)
+        return Accumulators(unmastered, mastered, pair, root, n_columns)
+
+    @pytest.mark.parametrize("shape, seed", [("random", 36), ("caterpillar", 37)])
+    @pytest.mark.parametrize("edge", [PARAM_FLOOR, 1.0 - PARAM_FLOOR])
+    @pytest.mark.parametrize("row", [None, "gamma", "r_easy", "r_med", "r_hard", "epsilon"])
+    @pytest.mark.parametrize("size", [None, 2])
+    @pytest.mark.parametrize("with_own", [False, True])
+    def test_sums_equal_the_old_contractions_at_the_edges(
+            self, monkeypatch, shape, seed, edge, row, size, with_own):
+        # The E-step reads one posterior plane at a time. The mastered sums
+        # stay a contraction of the marginal: the totals less the
+        # unmastered sums missed 1e-12 by up to 2.8e-10 where the mastered
+        # mass is tiny (γ or a rate at an edge).
+        import treekt.em
+
+        if size is not None:
+            monkeypatch.setattr(treekt.em, "targets_per_call", lambda cells: size)
+        rng, tree, pool, own, _ = self.setup(shape, seed)
+        order = kernel_plan(tree).order
+        theta = np.stack([random_parameters(tree, rng).column(order)
+                          for _ in range(own.shape[2])], axis=1)
+        rows = {"gamma": slice(0, len(order)), "r_easy": -4, "r_med": -3, "r_hard": -2,
+                "epsilon": -1}
+        if row is not None:
+            theta[rows[row]] = edge
+        log_theta = log_form(theta)
+        part = (rng.integers(0, pool.shape[2], own.shape[2]), own) if with_own else None
+        acc = pooled_e_step(tree, log_theta, pool, part)
+        want = self.old_contractions(tree, log_theta, pool, part)
+
+        def assert_relative(got, expected):
+            assert np.all(np.abs(got - expected) <= 1e-12 * np.abs(expected))
+
+        for name in ("unmastered", "mastered", "pair", "root"):
+            assert_relative(getattr(acc, name), getattr(want, name))
+        assert acc.n_students == want.n_students
+        assert_relative(batch_m_step(acc, theta), batch_m_step(want, theta))
 
     @pytest.mark.parametrize("shape, seed", [("random", 33), ("caterpillar", 34)])
     def test_without_own_columns_every_target_sees_the_pool(self, shape, seed):

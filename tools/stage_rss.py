@@ -9,10 +9,11 @@ and its resident memory (VmRSS) in MB, from /proc/self/status, so Linux
 only. Run one fresh process per measurement.
 
 Stages: import (numpy and treekt.cli, with the heap-top pin that
-cli.main sets), load_stream (load_tree, load_stream and the grouping by
-student that cmd_fit does), session (the ClassroomSession that
-online.burn_in_fit builds: its burn-in slots), pool (session.pool,
-counted by inference.count_cells) and fit (em.fit over the pool).
+cli.main sets), sink (load_tree, then load_stream handing each record to
+the sink of cmd_fit, which keeps a pointer per response to one record per
+cell), session (the ClassroomSession that online.burn_in_fit builds on
+those histories, uncopied: its burn-in slots), pool (session.pool, counted
+by inference.count_cells) and fit (em.fit over the pool).
 """
 
 import argparse
@@ -40,18 +41,15 @@ def main() -> None:
     from treekt import cli
     from treekt.em import fit
     from treekt.model import default_parameters
-    from treekt.online import ClassroomSession, load_stream
+    from treekt.online import ClassroomSession
     from treekt.tree import load_tree
 
     cli._pin_heap_top()
     stages = {"import": memory()}
     tree = load_tree(args.tree)
-    by_student: dict[str, list] = {}
-    for rec in load_stream(args.stream, tree):
-        by_student.setdefault(rec.student_id, []).append(rec)
-    stages["load_stream"] = memory()
-    session = ClassroomSession(tree=tree,
-                               burn_in={sid: list(v) for sid, v in by_student.items()},
+    by_student = cli._fit_histories(args.stream, tree)
+    stages["sink"] = memory()
+    session = ClassroomSession(tree=tree, burn_in=dict(by_student),
                                theta_init=default_parameters(tree))
     stages["session"] = memory()
     pool = session.pool

@@ -349,22 +349,17 @@ def cell_slots(tree: ConceptTree, interactions: Collection[Interaction]) -> list
 
 def count_cells(tree: ConceptTree, columns: Sequence[Sequence[int]]) -> np.ndarray:
     """Kernel counts [V, 6, n] of n columns, each given as its responses'
-    flat cells (cell_slots), by one np.bincount of slot * n + column. The
-    one place that lays out [V, 6, n]: the offsets are built in numpy, and
-    a single column's slots go to the bincount as they are. Each response
-    weighs 1.0, so the counts are summed as float64 with no int64 copy;
-    bincount gives int64 only when there are no responses at all."""
+    flat cells (cell_slots), by one np.bincount of slot * n + column, with
+    the offsets built in numpy. Each response weighs 1.0, so the counts are
+    summed as float64 with no int64 copy; bincount gives int64 only when
+    there are no responses at all."""
     n = len(columns)
-    if n == 1:
-        flat = columns[0]
-    else:
-        lengths = [*map(len, columns)]
-        flat = np.fromiter(chain.from_iterable(columns), np.intp, sum(lengths)) * n
-        flat += np.repeat(np.arange(n), lengths)
+    lengths = [*map(len, columns)]
+    flat = np.fromiter(chain.from_iterable(columns), np.intp, sum(lengths)) * n
+    flat += np.repeat(np.arange(n), lengths)
     v = len(tree.nodes)
     counts = np.bincount(flat, np.ones(len(flat)), minlength=v * len(CELL_KEYS) * n)
-    counts = counts.astype(np.float64, copy=False)
-    return counts.reshape(v, len(CELL_KEYS), n)
+    return counts.astype(np.float64, copy=False).reshape(v, len(CELL_KEYS), n)
 
 
 @lru_cache(maxsize=None)

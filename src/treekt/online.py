@@ -21,11 +21,11 @@ Due newcomers, students with no burn-in, run as a second E-step over the
 pool widened by one empty column. Each group's θ columns go through the
 E-step, one M-step and one log form as [·, T] blocks.
 inference.targets_per_call sizes every kernel call. replay runs the
-stream as rounds. Every call counts its columns from the slot lists of
-the students' conditioning sets, in frozen and updating sessions alike;
-predict_next is one kernel call on one student's column; observe is a
-round of one student, which checks the response before it changes
-anything and, in a frozen session, only appends.
+stream as rounds. A model keeps its student's responses in the kernel's
+format, a count column bumped by 1 per revealed response, and every call
+gathers its columns from those; predict_next is one kernel call on one
+student's column; observe is a round of one student, which checks the
+response before it changes anything and, in a frozen session, only counts.
 """
 
 from __future__ import annotations
@@ -82,18 +82,18 @@ class PredictionRecord(NamedTuple):
 @dataclass(eq=False)
 class StudentModel:
     """A student's θ as a column [V + 4] in the order of the tree's plan,
-    with its log form [2V + 12] beside it. slots holds the flat cell
-    (inference.cell_slots) of each response of the conditioning set,
-    burn-in then each revealed response: the session's only record of the
-    student's responses. A student who has had no update shares the
-    session's θ_init columns."""
+    with its log form [2V + 12] beside it. counts is the conditioning set,
+    burn-in then each revealed response, as a flat float64 column [6V]
+    indexed by inference.cell_slots: the session's only record of the
+    student's responses, an array of the model's own. A student who has
+    had no update shares the session's θ_init columns."""
 
     student_id: str
     order: tuple[str, ...] = field(repr=False)
     theta: np.ndarray = field(repr=False)
     log_theta: np.ndarray = field(repr=False)
+    counts: np.ndarray = field(repr=False)
     pending: int = 0
-    slots: list[int] = field(default_factory=list, repr=False)
 
     @property
     def params(self) -> Parameters:
@@ -110,10 +110,10 @@ class ClassroomSession:
     which is how a ground-truth model is scored on a stream. Built, a
     session checks its inputs before any work: a theta_init with no gamma
     for some node of the tree raises ParameterError, an update_batch other
-    than None or an int >= 1 ValueError, and a burn-in response with no
-    kernel cell (inference.cell_slots) InferenceError. Every kernel call
-    counts its columns from slot lists (_counts); the burn-in pool is the
-    only count array a session keeps.
+    than None or an int >= 1 (a bool included) ValueError, and a burn-in
+    response with no kernel cell (inference.cell_slots) InferenceError.
+    Every kernel call gathers its columns from the models' count columns
+    (_counts); a frozen session never builds the burn-in pool.
     """
 
     tree: ConceptTree
@@ -123,16 +123,14 @@ class ClassroomSession:
     students: dict[str, StudentModel] = field(default_factory=dict)
     update_batch: int | None = 1
     _init: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    _burn_in_slots: dict[str, list[int]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.theta_init.column(self.tree.nodes)  # ParameterError for a node with no γ
         batch = self.update_batch
-        if batch is not None and not (isinstance(batch, int) and batch >= 1):
+        if batch is not None and not (type(batch) is int and batch >= 1):
             raise ValueError(f"update_batch must be None or an int >= 1, got {batch!r}")
-        self._burn_in_slots = {sid: cell_slots(self.tree, history)
-                               for sid, history in self.burn_in.items()}
+        for history in self.burn_in.values():
+            cell_slots(self.tree, history)  # InferenceError for a response with no cell
 
     def _init_columns(self) -> tuple[np.ndarray, np.ndarray]:
         """theta_init as a θ column and its log form, built once per value
@@ -142,13 +140,19 @@ class ClassroomSession:
             self._init = (self.theta_init, theta, log_form(theta[:, None])[:, 0])
         return self._init[1:]
 
+    def _column(self, student_id: str) -> np.ndarray:
+        """The student's conditioning set as a flat count column [6V]: their
+        model's, or else their burn-in counted afresh."""
+        if (model := self.students.get(student_id)) is not None:
+            return model.counts
+        slots = cell_slots(self.tree, self.burn_in.get(student_id, ()))
+        return count_cells(self.tree, [slots]).reshape(-1)
+
     def _counts(self, student_ids: Sequence[str]) -> np.ndarray:
         """The students' conditioning sets as kernel columns [V, 6, n], in
-        order, counted from their slot lists by one count_cells."""
-        students, burn_in = self.students, self._burn_in_slots
-        return count_cells(self.tree, [
-            model.slots if (model := students.get(sid)) is not None else burn_in.get(sid, ())
-            for sid in student_ids])
+        order: a copy of their count columns, side by side."""
+        columns = _block([*map(self._column, student_ids)])
+        return columns.reshape(len(self.tree.nodes), -1, len(student_ids))
 
     @cached_property
     def pool_columns(self) -> dict[str, int]:
@@ -158,8 +162,9 @@ class ClassroomSession:
     @cached_property
     def pool(self) -> np.ndarray:
         """The burn-in pool as kernel counts [V, 6, S]: a column per
-        student in student-id order. Counted once, from the burn-in slots."""
-        return count_cells(self.tree, [*map(self._burn_in_slots.get, self.pool_columns)])
+        student in student-id order, counted once."""
+        tree, burn_in = self.tree, self.burn_in
+        return count_cells(tree, [cell_slots(tree, burn_in[s]) for s in self.pool_columns])
 
 
 def burn_in_fit(
@@ -248,22 +253,20 @@ def _predict_round(
 def _reveal_round(
     session: ClassroomSession, events: Sequence[tuple[str, Interaction | StreamRecord]]
 ) -> None:
-    """Append one response (anything with kc, difficulty and correct) to
-    each of distinct students' slot lists, then run every one-step update
-    that falls due: one em.pooled_e_step over the session's pool for the
-    due pool members, one for the due newcomers, and an M-step over each
-    group's θ block. Any response with no kernel cell raises InferenceError
-    before anything changes."""
+    """Count one response (anything with kc, difficulty and correct) in each
+    of distinct students' count columns (built at a student's first), then
+    run every one-step update that falls due: one em.pooled_e_step over the
+    session's pool for the due pool members, one for the due newcomers, and
+    an M-step over each group's θ block. Any response with no kernel cell
+    raises InferenceError before anything changes."""
     tree, due = session.tree, []
     slots = cell_slots(tree, [interaction for _, interaction in events])
     for (student_id, _), slot in zip(events, slots):
-        model = session.students.get(student_id)
-        if model is None:
-            model = StudentModel(student_id, kernel_plan(tree).order,
-                                 *session._init_columns(),
-                                 slots=list(session._burn_in_slots.get(student_id, ())))
-            session.students[student_id] = model
-        model.slots.append(slot)
+        if (model := session.students.get(student_id)) is None:
+            model = session.students[student_id] = StudentModel(
+                student_id, kernel_plan(tree).order, *session._init_columns(),
+                session._column(student_id))
+        model.counts[slot] += 1.0
         if session.update_batch is None:
             continue
         model.pending += 1
@@ -288,7 +291,7 @@ def _reveal_round(
 def observe(
     session: ClassroomSession, student_id: str, interaction: Interaction
 ) -> ClassroomSession:
-    """Append a response to the student's slot list and refresh their model
+    """Count a response in the student's count column and refresh their model
     with a single EM iteration over burn-in data plus their responses. A
     response with no kernel cell raises InferenceError and changes nothing."""
     _reveal_round(session, [(student_id, interaction)])

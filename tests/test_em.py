@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -22,7 +23,7 @@ from treekt import (
 from treekt.cli import main
 from treekt.em import Accumulators, SufficientStats, batch_m_step
 from treekt.inference import CELL_KEYS
-from treekt.model import EPSILON_CAP, PARAM_FLOOR
+from treekt.model import DEFAULT_R_EASY, DEFAULT_R_MED, EPSILON_CAP, PARAM_FLOOR
 from treekt.online import StreamRecord, serialize_stream
 from treekt.simulate import (
     SimConfig,
@@ -430,3 +431,67 @@ class TestBatchMStep:
             want = reference_m_step(reference_stats(acc, order, t),
                                     Parameters.from_column(order, prev[:, t]))
             assert Parameters.from_column(order, theta[:, t]) == want
+
+
+
+class TestFitThroughTheMStepEdges:
+    """Whole fits whose every M-step meets one of batch_m_step's edges: the
+    log-likelihood trace still never drops."""
+
+    @staticmethod
+    def edge_fit(monkeypatch, seed, truth, init, bank_filter=lambda q: True):
+        """The rates and ε after each M-step of a 40-step fit on a simulated
+        classroom, checking that the fit's trace is monotone."""
+        import treekt.em
+
+        rng = np.random.default_rng(seed)
+        tree = random_tree(rng, 6)
+        truth = dataclasses.replace(random_parameters(tree, rng), **truth)
+        bank = [q for q in random_question_bank(rng, tree, per_leaf=3) if bank_filter(q)]
+        config = SimConfig(n_students=40, n_interactions=25, seed=seed, match_ability=False)
+        stream, _ = generate_classroom(tree, truth, bank, config)
+        histories = {}
+        for rec in stream:
+            histories.setdefault(rec.student_id, []).append(rec.interaction())
+        dataset = [StudentObservations(sid, observation_set(tree, history))
+                   for sid, history in histories.items()]
+        steps, real_m_step = [], treekt.em.batch_m_step
+
+        def batch_m_step(acc, prev):
+            theta = real_m_step(acc, prev)
+            steps.append(dict(zip(("r_easy", "r_med", "r_hard", "epsilon"),
+                                  theta[-4:, 0].tolist())))
+            return theta
+
+        monkeypatch.setattr(treekt.em, "batch_m_step", batch_m_step)
+        init = dataclasses.replace(default_parameters(tree), **init)
+        trace = fit(tree, dataset, init, max_iters=40, tol=0.0).log_likelihood_trace
+        assert len(trace) == len(steps) == 40
+        for prev, cur in zip(trace, trace[1:]):
+            assert cur >= prev - 1e-12 * abs(prev)
+        return steps
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_cells_with_no_mass_beside_cells_with_mass(self, monkeypatch, seed):
+        # No hard question is asked: r_hard's cells hold no mass, so every
+        # M-step keeps its start, while the other rates move.
+        steps = self.edge_fit(monkeypatch, seed, {}, {"r_hard": 0.61},
+                              lambda q: q.difficulty is not Difficulty.HARD)
+        assert all(step["r_hard"] == 0.61 for step in steps)
+        assert steps[-1]["r_easy"] != DEFAULT_R_EASY
+        assert steps[-1]["r_med"] != DEFAULT_R_MED
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_epsilon_cap_binding(self, monkeypatch, seed):
+        # Unmastered students guess right 60% of the time: ε's ratio lies
+        # above EPSILON_CAP at every M-step, so every step caps it.
+        steps = self.edge_fit(monkeypatch, seed, {"epsilon": 0.6}, {"epsilon": EPSILON_CAP})
+        assert all(step["epsilon"] == EPSILON_CAP for step in steps)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_rates_at_one_minus_the_floor(self, monkeypatch, seed):
+        # Mastered students never slip: every rate's ratio is 1, clamped to
+        # 1 - PARAM_FLOOR at every M-step, where the fit also starts.
+        rates = dict.fromkeys(("r_easy", "r_med", "r_hard"), 1.0 - PARAM_FLOOR)
+        steps = self.edge_fit(monkeypatch, seed, {**rates, "epsilon": 0.05}, rates)
+        assert all(step[name] == 1.0 - PARAM_FLOOR for step in steps for name in rates)

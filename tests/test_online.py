@@ -37,7 +37,6 @@ from treekt import online
 from treekt.em import Accumulators, batch_m_step, pooled_e_step
 from treekt.inference import (
     InferenceError,
-    cell_slots,
     kernel_plan,
     log_form,
     pack_counts,
@@ -72,6 +71,12 @@ def small_classroom(seed=0, n_students=6, n_interactions=12, n_nodes=6):
     )
     stream, _ = generate_classroom(tree, truth, bank, config)
     return tree, bank, stream
+
+
+def assert_counts(model, tree, history):
+    """The model's count column is pack_counts of the history, flat."""
+    np.testing.assert_array_equal(model.counts, pack_counts(tree, [history]).reshape(-1),
+                                  strict=True)
 
 
 class TestStreamIO:
@@ -529,7 +534,7 @@ class TestSessionLifecycle:
             before = model.params if model is not None else session.theta_init
             observe(session, sid, interaction)
             fed.setdefault(sid, []).append(interaction)
-            assert session.students[sid].slots == cell_slots(tree, fed[sid])
+            assert_counts(session.students[sid], tree, fed[sid])
             dataset = [
                 StudentObservations(other, observation_set(tree, obs))
                 for other, obs in burn_in.items()
@@ -596,7 +601,7 @@ class TestSessionLifecycle:
         sid = remainder[0].student_id
         fed = burn_in[sid] + [r for r in remainder[:10] if r.student_id == sid]
         assert len(fed) > len(burn_in[sid])
-        assert session.students[sid].slots == cell_slots(tree, fed)
+        assert_counts(session.students[sid], tree, fed)
 
     def test_frozen_prediction_equals_direct_posteriors(self):
         # A frozen session packs each history on demand through the slot
@@ -616,7 +621,7 @@ class TestSessionLifecycle:
             assert predict_next(session, rec.student_id, question) == direct
             observe(session, rec.student_id, rec.interaction())
             history.append(rec.interaction())
-            assert session.students[rec.student_id].slots == cell_slots(tree, history)
+            assert_counts(session.students[rec.student_id], tree, history)
 
     def test_frozen_reads_do_no_log_work(self, monkeypatch):
         # A frozen session builds theta_init's log form once; a read of an
@@ -780,7 +785,8 @@ class TestLockStepReplay:
         assert set(lockstep.students) == set(sequential.students) == set(fed)
         for sid, model in sequential.students.items():
             other = lockstep.students[sid]
-            assert other.slots == model.slots == cell_slots(tree, fed[sid])
+            assert_counts(other, tree, fed[sid])
+            assert_counts(model, tree, fed[sid])
             assert other.pending == model.pending
             assert_same_params(other.params, model.params)
 
@@ -810,9 +816,9 @@ class TestLockStepReplay:
 
 
 class TestReadPath:
-    """Every session counts each column from the student's slot list, and a
-    frozen one predicts with one kernel call; observe checks a response
-    before it changes anything."""
+    """Every session gathers each column from the student's count column,
+    and a frozen one predicts with one kernel call; observe checks a
+    response before it changes anything."""
 
     @staticmethod
     def session(update_batch=None, seed=14):
@@ -873,9 +879,10 @@ class TestReadPath:
         assert session.pool.dtype == want.dtype and np.array_equal(session.pool, want)
 
     @pytest.mark.parametrize("update_batch", [None, 1])
-    def test_models_keep_no_count_columns(self, update_batch):
+    def test_models_keep_one_count_column(self, update_batch):
         # Frozen and updating sessions build models with the same fields,
-        # and a model's only arrays are its θ column and their log form.
+        # and a model's only arrays are its θ column, its log form and its
+        # one count column, an array of its own.
         session, bank, remainder = self.session(update_batch)
         q = bank[0]
         observe(session, "m_new", Interaction(q.question_id, q.kc, q.difficulty, 1))
@@ -884,7 +891,46 @@ class TestReadPath:
         for model in session.students.values():
             arrays = [name for name, value in vars(model).items()
                       if isinstance(value, np.ndarray)]
-            assert arrays == ["theta", "log_theta"]
+            assert arrays == ["theta", "log_theta", "counts"]
+        # A frozen session never builds the pool, and no column is a view
+        # of the pool or of another model's.
+        pool = vars(session).get("pool")  # where the cached_property keeps it
+        assert (pool is None) == (update_batch is None)
+        columns = [m.counts for m in session.students.values()]
+        arrays = columns if pool is None else [*columns, pool]
+        for column in columns:
+            assert not any(np.shares_memory(column, other)
+                           for other in arrays if other is not column)
+
+    @pytest.mark.parametrize("update_batch", [None, 1])
+    def test_counting_work_is_linear_in_the_history(self, monkeypatch, update_batch):
+        # A revealed response is counted once, into its student's column:
+        # the slot entries that cell_slots and count_cells receive during a
+        # replay grow with the stream, not with the square of a history.
+        tree, _, stream = small_classroom(seed=16, n_students=3, n_interactions=400)
+        burn_in, remainder = split_burn_in(stream, 4)
+        session = ClassroomSession(tree=tree, burn_in=burn_in,
+                                   theta_init=default_parameters(tree),
+                                   update_batch=update_batch)
+        entries = []
+        real_cell_slots, real_count_cells = online.cell_slots, online.count_cells
+
+        def cell_slots(tree, interactions):
+            entries.append(len(interactions))
+            return real_cell_slots(tree, interactions)
+
+        def count_cells(tree, columns):
+            entries.append(sum(map(len, columns)))
+            return real_count_cells(tree, columns)
+
+        monkeypatch.setattr(online, "cell_slots", cell_slots)
+        monkeypatch.setattr(online, "count_cells", count_cells)
+        replay(session, remainder)
+        assert len(remainder) == 3 * 396
+        assert sum(entries) <= 3 * len(stream)
+        for sid, model in session.students.items():
+            assert_counts(model, tree, burn_in[sid] + [
+                r for r in remainder if r.student_id == sid])
 
     def test_burn_in_fit_fits_the_pool_itself(self, monkeypatch):
         import treekt.online
@@ -926,11 +972,11 @@ class TestReadPath:
             "correct": Interaction("q", q.kc, q.difficulty, 2),
             "difficulty": Interaction("q", q.kc, "weird", 1),
         }[bad]
-        before = [(m.student_id, list(m.slots), m.pending)
+        before = [(m.student_id, m.counts.tolist(), m.pending)
                   for m in hit.students.values()]
         with pytest.raises(InferenceError):
             observe(hit, sid, bad_response)
-        assert [(m.student_id, m.slots, m.pending)
+        assert [(m.student_id, m.counts.tolist(), m.pending)
                 for m in hit.students.values()] == before
         question = QuestionMeta(q.question_id, q.kc, q.difficulty)
         assert predict_next(hit, sid, question) == predict_next(clean, sid, question)
@@ -1129,7 +1175,7 @@ class TestSessionChecks:
         burn_in, _ = split_burn_in(stream, 3)
         return tree, bank, burn_in
 
-    @pytest.mark.parametrize("batch", [0, -1, 1.5, "2"])
+    @pytest.mark.parametrize("batch", [0, -1, 1.5, "2", True, False])
     def test_update_batch_must_be_none_or_a_positive_int(self, batch):
         tree, _, burn_in = self.inputs()
         message = f"^update_batch must be None or an int >= 1, got {re.escape(repr(batch))}$"

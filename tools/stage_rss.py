@@ -12,8 +12,9 @@ Stages: import (numpy and treekt.cli, with the heap-top pin that
 cli.main sets), sink (load_tree, then load_stream handing each record to
 the sink of cmd_fit, which keeps a pointer per response to one record per
 cell), session (the ClassroomSession that online.burn_in_fit builds on
-those histories, uncopied: its burn-in slots), pool (session.pool, counted
-by inference.count_cells) and fit (em.fit over the pool).
+those histories, uncopied: it checks every response's cell and keeps no
+count of its own), pool (session.pool, counted by inference.count_cells)
+and fit (em.fit over the pool).
 """
 
 import argparse

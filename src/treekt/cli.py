@@ -96,6 +96,8 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
         except ValueError as exc:
             raise OptionError(f"{source}: {exc}") from None
     # Refuse values no run can honour before any work.
+    if getattr(args, "seed", 0) < 0:
+        raise ValueError(f"--seed {args.seed}: must be at least 0")
     if getattr(args, "max_iters", 1) < 1:
         raise ValueError(f"--max-iters {args.max_iters}: EM needs at least one iteration")
     if not 0.0 <= getattr(args, "threshold", 0.5) <= 1.0:  # also NaN
@@ -151,7 +153,7 @@ def cmd_validate_tree(args) -> int:
     try:
         load_tree(args.tree)
     except TreeFormatError as exc:
-        if isinstance(exc.__cause__, (json.JSONDecodeError, UnicodeError, RecursionError)):
+        if isinstance(exc.__cause__, (ValueError, RecursionError)):  # json's or UTF-8's
             raise  # unparseable document is an environment failure
         print(f"violation: {exc}")
         return 1

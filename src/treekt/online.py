@@ -30,6 +30,7 @@ response before it changes anything and, in a frozen session, only counts.
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -363,35 +364,28 @@ _DIFFICULTY = {d.value: d for d in Difficulty}
 #: A str as json.dumps writes it, quoted and ASCII-escaped.
 _json_string = json.encoder.encode_basestring_ascii
 
-#: Lines that parse_stream decodes with one json.loads, which bounds the
-#: decoded values held at once: chunks of 1 000 lines put eval-online's
-#: peak RSS 0.4 MB above decoding line by line; 100 do not, at equal speed.
-_CHUNK_LINES = 100
-
-#: Characters load_stream reads at a time, which bounds the text and lines
-#: it holds at once: over one _CHUNK_LINES chunk of the 112-character lines
-#: simulate writes. Smaller blocks read slower, larger ones hold more at
-#: their peak and read no faster (BENCH_bounded_ingest.json).
-_BLOCK_CHARS = 1 << 14
+#: Characters of whole lines that parse_stream and load_stream read at a
+#: time (fh.readlines), each block decoded with one json.loads: this bounds
+#: the text, lines and decoded values held at once, about 73 of the
+#: 112-character lines simulate writes. Blocks of 16 384 characters put the
+#: traced peak of treekt fit's reading above what it keeps at 0.27 MB, not
+#: 0.15 MB, and read no faster.
+_BLOCK_CHARS = 1 << 13
 
 
 def _json_lines(lines: list[str]) -> Iterator:
-    """json.loads of each line, decoding _CHUNK_LINES lines as one array
-    with a 0 between each two lines where they hold no bracket: a raw
-    newline beside each 0 ends any string, and an open object cannot take
-    ",0", so each line holds one value where the array has 2n - 1 items.
-    Other lines are decoded one by one, so that an error comes from its
-    line."""
-    for a in range(0, len(lines), _CHUNK_LINES):
-        chunk = lines[a:a + _CHUNK_LINES]
-        text, values = "\n,0,\n".join(chunk), ()
-        if "[" not in text and "]" not in text:
-            try:
-                values = json.loads(f"[{text}]")
-            except (ValueError, RecursionError):
-                pass
-        yield from (values[::2] if len(values) == 2 * len(chunk) - 1
-                    else map(json.loads, chunk))
+    """json.loads of each line, decoding all the lines as one array with a
+    0 between each two lines where they hold no bracket: a raw newline
+    beside each 0 ends any string, and an open object cannot take ",0", so
+    each line holds one value where the array has 2n - 1 items. Other lines
+    are decoded one by one, so that an error comes from its line."""
+    text, values = "\n,0,\n".join(lines), ()
+    if "[" not in text and "]" not in text:
+        try:
+            values = json.loads(f"[{text}]")
+        except (ValueError, RecursionError):
+            pass
+    return iter(values[::2]) if len(values) == 2 * len(lines) - 1 else map(json.loads, lines)
 
 
 class _Ids(dict):
@@ -440,31 +434,36 @@ def parse_stream(
     document: str, source: str = "<stream>", tree: ConceptTree | None = None
 ) -> list[StreamRecord]:
     """Parse JSON-lines stream records; source names the document in errors.
-    Each nonblank line is one JSON object with the keys of _STREAM_FIELDS,
+    Lines are numbered as document.splitlines() numbers them, and each
+    nonblank line is one JSON object with the keys of _STREAM_FIELDS,
     decoded once (_json_lines) and checked in that order. Replay follows
     each student's seq order, so a student's seq must increase strictly
     from each of their lines to the next. Given a tree, a kc_id that is not
     one of its leaves raises InferenceError (a domain failure, not a format
     error) naming the line. Equal ids of one parse are one string object,
-    and an id that cannot be written as UTF-8 is a bad record (_Ids)."""
+    and an id that cannot be written as UTF-8 is a bad record (_Ids). The
+    document is read as load_stream reads a file (_parse)."""
     records: list[StreamRecord] = []
-    _parse_blocks([document.splitlines()], source, tree, records.append)
+    _parse(io.StringIO(document, newline=None), source, tree, records.append)
     return records
 
 
-def _parse_blocks(
-    blocks: Iterable[list[str]], source: str, tree: ConceptTree | None,
+def _parse(
+    fh: io.TextIOBase, source: str, tree: ConceptTree | None,
     sink: Callable[[StreamRecord], object],
 ) -> None:
-    """parse_stream on a document given as its lines (str.splitlines), a
-    list of them at a time, numbered across the lists; each list is
-    decoded and checked before the next is taken, and each checked record
-    goes to sink in line order."""
+    """parse_stream on a text file whose newlines are translated to \\n:
+    each block of whole lines that fh.readlines(_BLOCK_CHARS) returns is
+    split again by str.splitlines, numbered on from the block before, and
+    decoded and checked before the next is read, so the lines are those of
+    the whole text's splitlines. Each checked record goes to sink in line
+    order."""
     share = _Ids().__getitem__
     last: dict[str, tuple[int, int]] = {}
     leaves = None if tree is None else frozenset(tree.leaves())
     start = 1
-    for lines in blocks:
+    while block := fh.readlines(_BLOCK_CHARS):
+        lines = "".join(block).splitlines()
         numbers = [i for i, line in enumerate(lines, start) if line.strip()]
         values = _json_lines([lines[i - start] for i in numbers])
         start += len(lines)
@@ -504,56 +503,34 @@ def serialize_stream(records: Iterable[StreamRecord]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _file_lines(fh) -> Iterator[list[str]]:
-    """The lines of a text file, as str.splitlines makes them of its whole
-    text, in one list per block of _BLOCK_CHARS characters read. A block
-    that a line break does not end leaves its last line open, and the next
-    block's first line finishes it; fh translates newlines, so no block
-    ends inside a \\r\\n."""
-    head: list[str] = []  # the open line's pieces
-    while block := fh.read(_BLOCK_CHARS):
-        lines = block.splitlines()
-        tail = lines.pop() if lines[-1] and block.endswith(lines[-1]) else None
-        if lines:
-            lines[0] = "".join([*head, lines[0]])
-            head.clear()
-            yield lines
-        if tail is not None:
-            head.append(tail)
-    if head:
-        yield ["".join(head)]
-
-
 def load_stream(
     path: str, tree: ConceptTree | None = None, *,
     sink: Callable[[StreamRecord], object] | None = None,
 ) -> list[StreamRecord] | None:
-    """parse_stream on a file, read _BLOCK_CHARS characters at a time, so
-    that it holds neither the file's text nor all its lines at once; bytes
-    that are not UTF-8 raise StreamFormatError naming the file and their
-    line. Given a sink, each checked record goes to sink in line order, in
-    place of the returned list, and load_stream returns None; the parse
-    still runs inside this call. A file that fails is read again whole, so
-    that it fails as parse_stream does on its text: bytes that are not
-    UTF-8 anywhere in it are reported before any bad record or off-tree
-    kc_id. The sink then has had the records before the failing line, and
-    the second reading hands it nothing."""
+    """parse_stream on a file, read _BLOCK_CHARS characters of whole lines
+    at a time (_parse), so that it holds neither the file's text nor all
+    its lines at once; bytes that are not UTF-8 raise StreamFormatError
+    naming the file and their line. Given a sink, each checked record goes
+    to sink in line order, in place of the returned list, and load_stream
+    returns None; the parse still runs inside this call. A file that fails
+    is read again whole for its UTF-8 check alone, so that bytes that are
+    not UTF-8 anywhere in it are reported before any bad record or
+    off-tree kc_id. Else the streamed pass's error is raised: the file's
+    first, or the sink's, and the sink has had the records before it."""
     records: list[StreamRecord] = []
     try:
         with open(path, encoding="utf-8") as fh:
-            _parse_blocks(_file_lines(fh), path, tree, sink or records.append)
+            _parse(fh, path, tree, sink or records.append)
         return None if sink else records
-    except ValueError as exc:  # UnicodeDecodeError, StreamFormatError, InferenceError
-        failure = exc
-    with open(path, encoding="utf-8") as fh:
-        try:
-            document = fh.read()
-        except UnicodeDecodeError as exc:
-            line = utf8_line(exc)
-            raise StreamFormatError(
-                f"{path}:{line}: not UTF-8 text on line {line}: {exc}") from exc
-    parse_stream(document, source=path, tree=tree)  # the file's first error
-    raise failure  # the file has none: the sink raised
+    except ValueError:  # UnicodeDecodeError, StreamFormatError, InferenceError, the sink's
+        with open(path, encoding="utf-8") as fh:
+            try:
+                fh.read()
+            except UnicodeDecodeError as exc:
+                line = utf8_line(exc)
+                raise StreamFormatError(
+                    f"{path}:{line}: not UTF-8 text on line {line}: {exc}") from exc
+        raise
 
 
 def prediction_lines(records: Iterable[PredictionRecord]) -> Iterator[str]:

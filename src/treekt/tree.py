@@ -160,7 +160,7 @@ def parse_tree(document: str) -> ConceptTree:
     named by its index in nodes."""
     try:
         data = json.loads(document)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer over int's digit limit
         raise TreeFormatError(f"malformed tree document: {exc}") from exc
     except RecursionError as exc:  # json names no line: give the deepest bracket's
         text = re.sub(r'"(?:[^"\\\n]|\\.)*"', "0", document)  # strings hold no newline
@@ -459,7 +459,7 @@ def _read_records(document: str) -> list[tuple[int, dict]]:
                 continue
             try:
                 record = json.loads(line)
-            except (json.JSONDecodeError, RecursionError) as exc:
+            except (ValueError, RecursionError) as exc:  # as in parse_tree
                 raise TreeFormatError(f"bad JSON on line {i}: {exc}") from exc
             if not isinstance(record, dict):
                 raise TreeFormatError(f"line {i}: a question record must be an object")

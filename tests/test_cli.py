@@ -120,12 +120,12 @@ class TestSimulate:
 
     @pytest.mark.parametrize("flag, value, least", [
         ("--students", "-1", 0), ("--interactions", "-2", 0), ("--nodes", "0", 1),
-        ("--questions-per-leaf", "0", 1),
+        ("--questions-per-leaf", "0", 1), ("--seed", "-1", 0),
     ])
     def test_bound_it_cannot_honour_exits_one_naming_the_flag(
             self, tmp_path, capsys, flag, value, least):
         out = tmp_path / "sim"
-        assert main(["simulate", flag, value, "--seed", "0", "--out", str(out)]) == 1
+        assert main(["simulate", "--seed", "0", flag, value, "--out", str(out)]) == 1
         captured = capsys.readouterr()
         assert captured.err == f"error: {flag} {value}: must be at least {least}\n"
         assert captured.out == ""
@@ -335,6 +335,42 @@ class TestFitAndEval:
         assert "violation" not in captured.out
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("command, bad", [
+        ("validate-tree", "tree"), ("fit", "tree"), ("fit", "stream"), ("fit", "config")])
+    def test_integer_over_the_digit_limit_exits_two_naming_the_file(
+            self, tmp_path, capsys, command, bad):
+        # json and int() give up on a 5 000-digit integer with a plain ValueError.
+        sim = simulate_into(tmp_path)
+        files = {"tree": sim / "tree.json", "stream": sim / "stream.jsonl",
+                 "config": tmp_path / "opts.cfg"}
+        files["config"].write_text("max_iters = 3\n")
+        if bad == "tree":
+            doc = json.loads(files["tree"].read_text())
+            doc["nodes"][0]["x"] = 0
+            text = json.dumps(doc).replace('"x": 0', '"x": ' + "9" * 5000)
+        else:
+            lines = files[bad].read_text().splitlines()
+            lines[-1] = (lines[-1].replace('"seq": ', '"seq": ' + "9" * 5000)
+                         if bad == "stream" else "max_iters = " + "9" * 5000)
+            text = "\n".join(lines) + "\n"
+        files[bad] = tmp_path / f"big_{files[bad].name}"
+        files[bad].write_text(text)
+        capsys.readouterr()
+        args = [command, "--tree", str(files["tree"])]
+        if command == "fit":
+            args += ["--stream", str(files["stream"]), "--out", str(tmp_path / "out"),
+                     "--config", str(files["config"])]
+        code = main(args)
+        captured = capsys.readouterr()
+        assert code == 2
+        where = {"tree": f"{files['tree']}: malformed tree document: ",
+                 "stream": f"{files['stream']}:60: bad stream record on line 60: ",
+                 "config": f"{files['config']}: max_iters: "}[bad]
+        assert captured.err.startswith(f"error: {where}"), captured.err
+        assert "4300" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
     def test_eval_deterministic_across_thread_counts(self, tmp_path):
         sim = simulate_into(tmp_path)
         outputs = []
@@ -394,7 +430,7 @@ class TestOracleCheck:
 
     @pytest.mark.parametrize("flag, value", [
         ("--instances", "-1"), ("--max-nodes", "1"), ("--max-nodes", "0"),
-        ("--max-nodes", "21"), ("--max-nodes", "25"),
+        ("--max-nodes", "21"), ("--max-nodes", "25"), ("--seed", "-1"),
     ])
     def test_bound_it_cannot_honour_exits_one_before_any_instance(
             self, monkeypatch, capsys, flag, value):
@@ -404,10 +440,28 @@ class TestOracleCheck:
             raise AssertionError("an instance ran")
         # cmd_oracle_check reads posteriors from the view when it runs.
         monkeypatch.setattr(treekt.view, "posteriors", unreachable)
-        assert main(["oracle-check", flag, value, "--seed", "0"]) == 1
+        assert main(["oracle-check", "--seed", "0", flag, value]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {flag} {value}: ")
         assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["simulate", "oracle-check"])
+    @pytest.mark.parametrize("source", ["config", "env"])
+    def test_negative_seed_from_config_or_env_exits_one_naming_it(
+            self, tmp_path, monkeypatch, capsys, command, source):
+        argv = [command] + (["--out", str(tmp_path / "sim")] if command == "simulate" else [])
+        if source == "config":
+            config = tmp_path / "opts.cfg"
+            config.write_text("seed = -2\n")
+            argv += ["--config", str(config)]
+        else:
+            monkeypatch.setenv("TREEKT_SEED", "-5")
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --seed {-2 if source == 'config' else -5}: " \
+            "must be at least 0\n"
+        assert captured.out == ""
+        assert not (tmp_path / "sim").exists()
 
 
 class TestOptionLayering:

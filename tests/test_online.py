@@ -384,6 +384,7 @@ class TestStreamedReader:
     @example(document="{} {}", newline="\r", raw="", block=3, lead="", shift=1)
     def test_same_outcome_as_parse_stream_at_every_block_edge(
             self, tmp_path, monkeypatch, document, newline, raw, block, lead, shift):
+        json_lines = online._json_lines
         # Blocks of a few characters end inside lines and between the \r
         # and \n of a pair. raw goes into student id s2 as it is: a
         # multi-byte character, or one that JSON takes in a string and
@@ -397,25 +398,45 @@ class TestStreamedReader:
         path = tmp_path / "stream.jsonl"
         path.write_bytes(text.encode())
         monkeypatch.setattr(online, "_BLOCK_CHARS", block)
-        whole = []  # the texts load_stream read again whole, after its streamed pass failed
-        monkeypatch.setattr(online, "parse_stream",
-                            lambda document, **kw: whole.append(document) or
-                            parse_stream(document, **kw))
-        got = outcome(lambda _, source: load_stream(source), None, source=str(path))
+        opened = []  # a file that fails is opened again, for its UTF-8 check alone
+        decoded = []  # the nonblank lines the reader hands the decoder, in order
+        with monkeypatch.context() as spy:
+            spy.setattr(online, "open", lambda *a, **kw: opened.append(a) or open(*a, **kw),
+                        raising=False)
+            spy.setattr(online, "_json_lines",
+                        lambda lines: decoded.extend(lines) or json_lines(lines))
+            got = outcome(lambda _, source: load_stream(source), None, source=str(path))
         assert got == outcome(parse_stream, text, source=str(path))
-        assert bool(whole) == (type(got) is tuple)  # valid files are read once
+        assert got == outcome(reference_parse_stream, text, source=str(path))
+        assert len(opened) == (2 if type(got) is tuple else 1)
+        # The streamed pass numbers lines as the whole text's splitlines does.
+        nonblank = [line for line in text.splitlines() if line.strip()]
+        assert decoded == nonblank[:len(decoded)]
+        assert type(got) is tuple or decoded == nonblank
         # A sink gets parse_stream's records in order, or the records before
-        # the same error; the whole-text reading after a failure gets none.
+        # the same error; the UTF-8 check after a failure gives it none.
         sunk, once = [], []
         assert outcome(lambda _, source: load_stream(source, sink=sunk.append) or sunk,
                        None, source=str(path)) == got
         with contextlib.suppress(ValueError):
-            online._parse_blocks([text.splitlines()], str(path), None, once.append)
+            online._parse(io.StringIO(text, newline=None), str(path), None, once.append)
         assert sunk == once
-        # The streamed pass numbers lines as the whole text's splitlines does.
-        with open(path, encoding="utf-8") as fh:
-            assert [line for lines in online._file_lines(fh) for line in lines] == \
-                text.splitlines()
+
+    @pytest.mark.parametrize("k", [1, 7, 400])
+    def test_a_failing_file_is_parsed_once(self, tmp_path, monkeypatch, k):
+        # Line k holds correct 2: each record up to it is checked once, and
+        # the UTF-8 check after the failure checks none again.
+        lines = TestParserAgainstReference.valid_lines(k + 20)
+        lines[k - 1] = json.dumps({**json.loads(lines[k - 1]), "correct": 2})
+        path = tmp_path / "stream.jsonl"
+        path.write_text("".join(line + "\n" for line in lines))
+        checked = []
+        stream_record = online._stream_record
+        monkeypatch.setattr(online, "_stream_record",
+                            lambda raw, share: checked.append(raw) or stream_record(raw, share))
+        with pytest.raises(StreamFormatError, match=f":{k}: bad stream record on line {k}: "):
+            load_stream(str(path))
+        assert len(checked) == k
 
     def test_an_error_of_the_sink_on_a_valid_file_is_raised(self, tmp_path):
         path = tmp_path / "stream.jsonl"

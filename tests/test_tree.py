@@ -99,6 +99,8 @@ class TestTreeFileErrors:
         json.dumps({"nodes": [{"id": ["a"]}]}),
         doc(("A",), ("B", "Z")),
         doc(("B", "A"), ("A", "B")),
+        pytest.param('{"nodes": [{"id": "A", "x": ' + "1" * 5000 + "}]}",
+                     id="int-over-the-digit-limit"),
     ])
     def test_load_tree_starts_every_error_with_the_path(self, tmp_path, document):
         path = tmp_path / "tree.json"
@@ -353,6 +355,16 @@ class TestQuestionFileErrors:
         with pytest.raises(TreeFormatError, match="line 3: question record has no kc_id"):
             load_questions(str(path), self.TREE)
 
+
+    def test_integer_over_the_digit_limit_names_the_path_and_line(self, tmp_path):
+        # json raises a plain ValueError for an integer int() will not read.
+        path = tmp_path / "questions.jsonl"
+        path.write_text(self.FIRST + '{"question_id": ' + "7" * 5000 + ', "kc_id": "B"}\n',
+                        encoding="utf-8")
+        with pytest.raises(TreeFormatError) as exc:
+            load_questions(str(path), self.TREE)
+        assert str(exc.value).startswith(f"{path}: bad JSON on line 3: ")
+        assert "4300" in str(exc.value)
 
     def test_deeply_nested_line_names_the_path_and_line(self, tmp_path):
         path = tmp_path / "questions.jsonl"
